@@ -174,9 +174,8 @@ def validate_record(rec):
     return rec
 
 
-def read_records(path, strict=True):
-    """Parse a JSONL catalog; strict mode rejects unknown fields."""
-    records = []
+def _parse_file(path, strict):
+    """Yield (line number, record) per non-blank line, parsed, not validated."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -185,12 +184,18 @@ def read_records(path, strict=True):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})")
-            rec = _parse_record(obj, lineno, strict)
-            try:
-                validate_record(rec)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}")
-            records.append(rec)
+            yield lineno, _parse_record(obj, lineno, strict)
+
+
+def read_records(path, strict=True):
+    """Parse and validate a JSONL catalog; strict mode rejects unknown fields."""
+    records = []
+    for lineno, rec in _parse_file(path, strict):
+        try:
+            validate_record(rec)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}")
+        records.append(rec)
     return records
 
 
@@ -462,7 +467,8 @@ def export_dot(records, rec_id):
 # -------------------------------------------------------------- deep verify
 
 def verify_records(records, samples=1000):
-    """Re-derive every record and run the matrix-level spot checks.
+    """Re-derive every record, stored lift counts included, and run the
+    matrix-level spot checks.
 
     Raises ValidationError on the first failure; returns a summary line.
     """
@@ -477,6 +483,14 @@ def verify_records(records, samples=1000):
         h = from_code(code)
         if canonical_code(h) != code:
             raise ValidationError(f"record {rec.id}: code is not canonical")
+        if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
+            p = lift_profile(rec)
+            for name, want in (("lift_one_to_one", p.one_to_one),
+                               ("lift_two_to_one", p.two_to_one)):
+                got = getattr(rec, name)
+                if got is not None and got != want:
+                    raise ValidationError(f"record {rec.id}: {name} is {got}, "
+                                          f"the lift rules give {want}")
         perm_s, perm_t = coset_action(h)
         e2 = sum(1 for e in range(h.n) if perm_s[e] == e)
         e3 = sum(1 for e in range(h.n) if h.sigma[e] == e)

@@ -62,7 +62,8 @@ def cmd_export_dot(args):
 
 
 def cmd_verify(args):
-    records = catalog.read_records(args.infile)
+    # verify_records validates every record itself; parse without a first pass
+    records = [rec for _, rec in catalog._parse_file(args.infile, True)]
     print(catalog.verify_records(records, samples=args.samples))
     return 0
 

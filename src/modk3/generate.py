@@ -5,8 +5,8 @@ Two independent generators live here:
 * enumerate_classes -- a backtracking search over partially built
   (sigma, alpha) pairs.  Fresh edge labels are always the smallest unused
   integer, so every isomorphism class at index n is reached exactly
-  n / |Aut| times (once per root orbit); duplicates are squashed through
-  canonical codes.
+  n / |Aut| times (once per root orbit); a canonicity test at each leaf
+  keeps exactly one of them.
 * brute_force_oracle -- for each involution cycle type, fix one alpha and
   run over every sigma of order dividing 3, keeping transitive pairs.
   Much slower, no shared machinery, used to cross-check the search.
@@ -14,12 +14,14 @@ Two independent generators live here:
 
 from dataclasses import dataclass
 
-from .errors import ResourceBound
+from .errors import DomainError, ResourceBound
 from .hypermap import (
-    Hypermap, automorphism_group, canonical_code, from_code, subgroup_type,
+    Hypermap, _root_code, automorphism_group, canonical_code, from_code,
+    subgroup_type,
 )
 
 ORACLE_MAX = 12
+MAX_INDEX = 255        # the canonical code stores the index in one byte
 
 
 @dataclass(frozen=True)
@@ -99,32 +101,53 @@ def _search(n, torsion_free, emit):
 
 
 def _classes_at(n, genus_filter, torsion_free):
-    """Canonical codes (and leaf tallies) of all classes at one index."""
-    found = {}
-    leaves = [0]
+    """Sorted canonical codes of all classes at one index, and the leaf tally.
+
+    A leaf is kept only if its root 0 already gives the canonical code: no
+    other root may give a smaller one.  The roots with the minimal code form
+    one Aut-orbit, and the search reaches each class once per root orbit,
+    so every class is kept exactly once.  The tally counts the leaves that
+    pass the genus filter, before the canonicity test.
+    """
+    codes = []
+    leaves = 0
 
     def emit(sigma, alpha):
-        h = Hypermap(sigma, alpha)
-        if genus_filter is not None and subgroup_type(h).g != genus_filter:
+        nonlocal leaves
+        if (genus_filter is not None
+                and subgroup_type(Hypermap(sigma, alpha)).g != genus_filter):
             return
-        leaves[0] += 1
-        code = canonical_code(h)
-        if code not in found:
-            found[code] = None
+        leaves += 1
+        code = _root_code(sigma, alpha, 0, None)
+        for root in range(1, n):
+            if _root_code(sigma, alpha, root, code) is not None:
+                return
+        codes.append(code)
 
     _search(n, torsion_free, emit)
-    return sorted(found), leaves[0]
+    codes.sort()
+    return codes, leaves
+
+
+def _check_index(n):
+    if n < 1:
+        raise DomainError(f"index must be at least 1, got {n}")
+    if n > MAX_INDEX:
+        raise ResourceBound(f"index {n} exceeds {MAX_INDEX}, the largest "
+                            f"a canonical code can store")
 
 
 def enumerate_classes(constraints):
     """All conjugacy classes meeting the constraints, as sorted Hypermaps.
 
     Exactly one of index / max_index must be set; max_index walks every
-    index from 1 up and concatenates.
+    index from 1 up and concatenates.  Indices outside 1..MAX_INDEX are
+    refused before any search.
     """
     c = constraints
     if (c.index is None) == (c.max_index is None):
         raise ValueError("set exactly one of index and max_index")
+    _check_index(c.max_index if c.index is None else c.index)
     indices = [c.index] if c.index is not None else range(1, c.max_index + 1)
     out = []
     for n in indices:
@@ -153,6 +176,7 @@ def search_leaf_count(constraints):
     c = constraints
     if c.index is None or c.max_index is not None:
         raise ValueError("search_leaf_count wants a single index")
+    _check_index(c.index)
     if c.torsion_free and c.index % 6 != 0:
         return 0
     _, leaves = _classes_at(c.index, c.genus_filter, c.torsion_free)

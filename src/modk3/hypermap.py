@@ -14,9 +14,8 @@ Permutations are tuples of images: p[i] is the image of i.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import NotTransitive, OrderViolation
+from .errors import DomainError, NotTransitive, OrderViolation
 
 
 # ------------------------------------------------------------- permutations
@@ -141,15 +140,16 @@ def subgroup_type(h):
     """Type (n; g, h, e2, e3) of the subgroup matching h.
 
     e2/e3 count alpha/sigma fixed points, h counts faces, and the genus
-    comes out of Riemann-Hurwitz: g = 1 + n/12 - e2/4 - e3/3 - h/2.
+    comes out of Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.
     """
     n = h.n
     e2 = len(fixed_points(h.alpha))
     e3 = len(fixed_points(h.sigma))
-    faces = h.faces()
-    g = 1 + Fraction(n, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(len(faces), 2)
-    assert g.denominator == 1 and g >= 0, f"Riemann-Hurwitz broke: g = {g}"
-    return SubgroupType(n, int(g), len(faces), e2, e3)
+    faces = len(h.faces())
+    g, rest = divmod(12 + n - 3 * e2 - 4 * e3 - 6 * faces, 12)
+    if rest or g < 0:
+        raise DomainError(f"Riemann-Hurwitz broke: 12g = {12 * g + rest}")
+    return SubgroupType(n, g, faces, e2, e3)
 
 
 def cusp_widths(h):
@@ -165,35 +165,60 @@ def loop_count(h):
 
 # ------------------------------------------------------------ canonical code
 
+def _root_code(sigma, alpha, root, best):
+    """Code of the relabeling from root, or None once it cannot beat best.
+
+    Edges are relabeled by breadth-first discovery (sigma image first, then
+    alpha image), and the code is bytes([n]) + sigma bytes + alpha bytes in
+    the new labels.  Sigma byte i is known as soon as the i-th edge is
+    dequeued, so the walk stops at the first sigma byte above best's; the
+    alpha bytes only matter when the sigma part ties.  best=None always
+    yields the code.  Returns None on a tie too: it is no improvement.
+    """
+    n = len(sigma)
+    new = [-1] * n                           # old label -> new label
+    new[root] = 0
+    order = [root]                           # old labels in discovery order
+    sig = [0] * n
+    alp = [0] * n
+    tied = best is not None
+    for i in range(n):
+        e = order[i]
+        f = sigma[e]
+        s = new[f]
+        if s < 0:
+            s = new[f] = len(order)
+            order.append(f)
+        if tied:
+            b = best[1 + i]
+            if s > b:
+                return None
+            tied = s == b
+        f = alpha[e]
+        a = new[f]
+        if a < 0:
+            a = new[f] = len(order)
+            order.append(f)
+        sig[i] = s
+        alp[i] = a
+    if tied and bytes(alp) >= best[1 + n:]:
+        return None
+    return bytes([n, *sig, *alp])
+
+
 def canonical_code(h):
     """Relabel-invariant byte code; two hypermaps are isomorphic iff equal.
 
-    For each root, relabel by breadth-first discovery (sigma image first,
-    then alpha image), serialize (n, sigma, alpha) as bytes, and keep the
-    lexicographic minimum over all n roots.
+    The lexicographic minimum over all n roots of the breadth-first
+    relabeling code of _root_code: bytes([n]) + sigma images + alpha
+    images.  A root is abandoned at the first byte that loses to the best
+    code so far.
     """
-    n, sigma, alpha = h.n, h.sigma, h.alpha
-    best = None
-    for root in range(n):
-        new = [-1] * n                       # old label -> new label
-        order = [root]                       # old labels in discovery order
-        new[root] = 0
-        head = 0
-        while head < len(order):
-            e = order[head]
-            head += 1
-            for f in (sigma[e], alpha[e]):
-                if new[f] < 0:
-                    new[f] = len(order)
-                    order.append(f)
-        code = bytearray([n])
-        for img in (sigma, alpha):
-            buf = [0] * n
-            for e in range(n):
-                buf[new[e]] = new[img[e]]
-            code.extend(buf)
-        code = bytes(code)
-        if best is None or code < best:
+    sigma, alpha = h.sigma, h.alpha
+    best = _root_code(sigma, alpha, 0, None)
+    for root in range(1, h.n):
+        code = _root_code(sigma, alpha, root, best)
+        if code is not None:
             best = code
     return best
 

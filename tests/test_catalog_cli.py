@@ -310,3 +310,37 @@ def test_verify_cli_reports_counts(tmp_path, capsys):
     assert cli.main(["verify", "--in", str(path), "--samples", "50"]) == 0
     out = capsys.readouterr().out
     assert "6 records" in out and "50 matrix samples" in out
+
+
+def test_cli_enumerate_rejects_out_of_range_index(capsys):
+    for index, err in (("0", "DomainError"), ("-3", "DomainError"),
+                       ("256", "ResourceBound")):
+        assert cli.main(["enumerate", "--index", index]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {err}: "), lines
+
+
+def test_verify_cli_rederives_lift_counts(tmp_path, capsys):
+    path = tmp_path / "k6.jsonl"
+    catalog.write_records(path, k6_records())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[0])
+    obj["lift_one_to_one"] += 7
+    lines[0] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
+    assert "lift_one_to_one" in err[0]
+
+
+def test_verify_cli_validates_each_record_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "k6.jsonl"
+    catalog.write_records(path, k6_records())
+    calls = []
+    validate = catalog.validate_record
+    monkeypatch.setattr(catalog, "validate_record",
+                        lambda rec: calls.append(rec.id) or validate(rec))
+    assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 0
+    assert sorted(calls) == sorted(r.id for r in k6_records())

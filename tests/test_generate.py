@@ -1,11 +1,13 @@
 """Search vs. oracle, known small counts, constraint handling."""
 
-from modk3.errors import ResourceBound
+from modk3.errors import DomainError, ResourceBound
 from modk3.generate import (
-    EnumerationConstraints, brute_force_oracle, enumerate_classes,
-    rooted_count, search_leaf_count,
+    EnumerationConstraints, _classes_at, brute_force_oracle,
+    enumerate_classes, rooted_count, search_leaf_count,
 )
-from modk3.hypermap import canonical_code, cusp_widths, subgroup_type, validate
+from modk3.hypermap import (
+    canonical_code, cusp_widths, from_code, subgroup_type, validate,
+)
 
 
 def codes(**kw):
@@ -108,3 +110,33 @@ def test_oracle_matches_search_small():
                     continue
                 got = brute_force_oracle(n, genus_filter=g, torsion_free=tf)
                 assert got == want, (n, tf, g)
+
+
+def test_classes_at_keeps_each_class_once():
+    for n in range(1, 11):
+        for tf in (False, True):
+            for g in (None, 0):
+                got, _ = _classes_at(n, g, tf)
+                assert got == sorted(set(got)), (n, tf, g)
+                assert all(canonical_code(from_code(c)) == c for c in got)
+
+
+def test_rooted_counts_match_hall_past_the_oracle():
+    # Hall (1949): PSL(2,Z) = Z/2 * Z/3 has a_13 = 1729 and a_14 = 2198
+    # subgroups of index 13 and 14, past ORACLE_MAX
+    for n, want in ((13, 1729), (14, 2198)):
+        cs = EnumerationConstraints(index=n)
+        assert rooted_count(enumerate_classes(cs)) == want
+        assert search_leaf_count(cs) == want
+
+
+def test_index_bounds():
+    for n, err in ((0, DomainError), (-3, DomainError), (256, ResourceBound)):
+        for fn, kw in ((enumerate_classes, "index"),
+                       (enumerate_classes, "max_index"),
+                       (search_leaf_count, "index")):
+            try:
+                fn(EnumerationConstraints(**{kw: n}))
+                assert False, f"{fn.__name__} accepted {kw}={n}"
+            except err:
+                pass

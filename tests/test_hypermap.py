@@ -2,7 +2,9 @@
 
 import random
 
-from modk3.errors import NotTransitive, OrderViolation
+from hypothesis import given, settings, strategies as st
+
+from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, automorphism_group, canonical_code, compose, cusp_widths,
     cycle_type, cycles, fixed_points, from_code, identity_perm, inverse,
@@ -208,3 +210,73 @@ def test_white_vertex_type_shape():
         for trip in white_vertex_types(h).values():
             a, b, c = trip
             assert (a >= b >= c) or (a > c > b)
+
+
+def test_subgroup_type_refuses_a_non_dessin():
+    # two fixed points each way on two edges: 12g = -12, no genus at all
+    try:
+        subgroup_type(Hypermap((0, 1), (0, 1)))
+        assert False, "Riemann-Hurwitz violation was accepted"
+    except DomainError as exc:
+        assert "Riemann-Hurwitz" in str(exc)
+
+
+def reference_code(h):
+    """Serialize the breadth-first relabeling from every root, keep the least.
+
+    The plain definition of the canonical code, without early exit.
+    """
+    n, sigma, alpha = h.n, h.sigma, h.alpha
+    best = None
+    for root in range(n):
+        new = [-1] * n
+        order = [root]
+        new[root] = 0
+        head = 0
+        while head < len(order):
+            e = order[head]
+            head += 1
+            for f in (sigma[e], alpha[e]):
+                if new[f] < 0:
+                    new[f] = len(order)
+                    order.append(f)
+        code = bytearray([n])
+        for img in (sigma, alpha):
+            buf = [0] * n
+            for e in range(n):
+                buf[new[e]] = new[img[e]]
+            code.extend(buf)
+        code = bytes(code)
+        if best is None or code < best:
+            best = code
+    return best
+
+
+@st.composite
+def transitive_hypermaps(draw, max_n=16):
+    """A random (sigma, alpha) pair cut down to the orbit of edge 0."""
+    n = draw(st.integers(1, max_n))
+    edges = draw(st.permutations(range(n)))
+    triples = draw(st.integers(0, n // 3))
+    sigma = perm_from_cycles(n, *(edges[3 * i:3 * i + 3] for i in range(triples)))
+    edges = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    alpha = perm_from_cycles(n, *(edges[2 * i:2 * i + 2] for i in range(pairs)))
+    orbit = [0]
+    pos = {0: 0}
+    for e in orbit:
+        for f in (sigma[e], alpha[e]):
+            if f not in pos:
+                pos[f] = len(orbit)
+                orbit.append(f)
+    return validate(Hypermap([pos[sigma[e]] for e in orbit],
+                             [pos[alpha[e]] for e in orbit]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitive_hypermaps(), st.data())
+def test_canonical_code_matches_reference(h, data):
+    want = reference_code(h)
+    assert canonical_code(h) == want
+    p = data.draw(st.permutations(range(h.n)))
+    assert canonical_code(relabel(h, tuple(p))) == want
