@@ -8,7 +8,7 @@ in canonical-code order ("4,1,1-A").
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import NotTransitive, OrderViolation, ParseError, ValidationError
 from .generate import EnumerationConstraints, enumerate_classes
@@ -16,7 +16,7 @@ from .hypermap import (
     automorphism_group, canonical_code, cusp_widths, cycles, from_code,
     loop_count, subgroup_type, validate,
 )
-from .lifts import lift_profile, totals
+from .lifts import lift_pair, lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
 
 FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
@@ -40,7 +40,6 @@ class DessinRecord:
     assignment: dict
     lift_one_to_one: int = None
     lift_two_to_one: int = None
-    extra: dict = field(default_factory=dict)    # lax-mode passthrough
 
 
 def record_from_hypermap(h, tf_code=None):
@@ -84,18 +83,17 @@ def assign_ids(records):
 
 def record_to_json(rec):
     obj = {name: getattr(rec, name) for name in FIELDS}
-    obj.update(rec.extra)
     return json.dumps(obj, separators=(",", ":"))
 
 
 _INT_FIELDS = ("index", "genus", "h", "e2", "e3", "aut_order", "loop_count")
 
 
-def _parse_record(obj, lineno, strict):
+def _parse_record(obj, lineno):
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: record is not a JSON object")
     unknown = [k for k in obj if k not in FIELDS]
-    if unknown and strict:
+    if unknown:
         raise ParseError(f"line {lineno}: unknown field {unknown[0]!r}")
     missing = [k for k in FIELDS if k not in obj]
     if missing:
@@ -122,8 +120,7 @@ def _parse_record(obj, lineno, strict):
         v = obj[name]
         want(name, v is None or (isinstance(v, int) and not isinstance(v, bool)),
              "an integer or null")
-    return DessinRecord(**{name: obj[name] for name in FIELDS},
-                        extra={k: obj[k] for k in unknown})
+    return DessinRecord(**{name: obj[name] for name in FIELDS})
 
 
 def validate_record(rec):
@@ -174,7 +171,7 @@ def validate_record(rec):
     return rec
 
 
-def _parse_file(path, strict):
+def _parse_file(path):
     """Yield (line number, record) per non-blank line, parsed, not validated."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,13 +181,13 @@ def _parse_file(path, strict):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})")
-            yield lineno, _parse_record(obj, lineno, strict)
+            yield lineno, _parse_record(obj, lineno)
 
 
-def read_records(path, strict=True):
-    """Parse and validate a JSONL catalog; strict mode rejects unknown fields."""
+def read_records(path):
+    """Parse and validate a JSONL catalog; unknown fields are a ParseError."""
     records = []
-    for lineno, rec in _parse_file(path, strict):
+    for lineno, rec in _parse_file(path):
         try:
             validate_record(rec)
         except ValidationError as exc:
@@ -233,19 +230,14 @@ def add_lift_fields(records):
     return records
 
 
-_FULL_CATALOG = []
-
-
 def full_catalog():
-    """The complete K catalog with lift counts, memoized per process."""
-    if not _FULL_CATALOG:
-        records = []
-        for n in (6, 12, 18, 24):
-            tf = enumerate_records(EnumerationConstraints(
-                index=n, torsion_free=True, genus_filter=0))
-            records.extend(add_lift_fields(expand_records(tf)))
-        _FULL_CATALOG.extend(assign_ids(records))
-    return [replace(rec) for rec in _FULL_CATALOG]
+    """The complete K catalog with lift counts, built afresh on each call."""
+    records = []
+    for n in (6, 12, 18, 24):
+        tf = enumerate_records(EnumerationConstraints(
+            index=n, torsion_free=True, genus_filter=0))
+        records.extend(add_lift_fields(expand_records(tf)))
+    return assign_ids(records)
 
 
 # ------------------------------------------------------------------ reports
@@ -274,19 +266,19 @@ def group_label(elements):
     return f"order-{order}"
 
 
-def _tf_index_of(rec):
-    return bytes.fromhex(rec.tf_code)[0]
-
-
 def _partition(rec):
     return ",".join(str(w) for w in rec.cusp_widths)
 
 
-def _lift_pair(rec):
-    if rec.lift_one_to_one is None or rec.lift_two_to_one is None:
-        p = lift_profile(rec)
-        return p.one_to_one, p.two_to_one
-    return rec.lift_one_to_one, rec.lift_two_to_one
+def _tf_groups(records, n):
+    """(tf record, records over it) per tf class of index n, in first-seen
+    order."""
+    groups = {}
+    for rec in records:
+        if tf_index(rec) == n:
+            groups.setdefault(rec.tf_code, []).append(rec)
+    return [(next(r for r in group if r.canonical_code == code), group)
+            for code, group in groups.items()]
 
 
 def report_tf_counts(records):
@@ -305,36 +297,29 @@ def report_tf_counts(records):
 
 def report_k6(records):
     """Every class retracting to index 6, with its lift counts."""
-    rows = [r for r in records if _tf_index_of(r) == 6]
+    rows = [r for r in records if tf_index(r) == 6]
     rows.sort(key=lambda r: r.canonical_code)
     lines = ["id       type (n;g,h,e2,e3)   widths   1:1  2:1"]
     for r in rows:
-        one, two = _lift_pair(r)
+        one, two = lift_pair(r)
         t = f"({r.index};{r.genus},{r.h},{r.e2},{r.e3})"
         lines.append(f"{r.id:8s} {t:20s} {_partition(r):8s} {one:3d}  {two:3d}")
-    total = sum(sum(_lift_pair(r)) for r in rows)
+    total = sum(sum(lift_pair(r)) for r in rows)
     lines.append(f"classes {len(rows)}  lifts {total}")
     return lines
 
 
 def report_k12(records):
     """Torsion-class and lift counts per index-12 partition."""
-    strata = {}
-    for rec in records:
-        if _tf_index_of(rec) == 12:
-            strata.setdefault(rec.tf_code, []).append(rec)
     lines = ["partition  aut loops  e2>0 e3=1 e3=2 e3=3   1:1  2:1"]
     col = [0] * 6
-    order = sorted(strata, key=lambda c: [r for r in strata[c]
-                                          if r.canonical_code == c][0].cusp_widths)
-    for code in order:
-        group = strata[code]
-        tf = next(r for r in group if r.canonical_code == code)
+    for tf, group in sorted(_tf_groups(records, 12),
+                            key=lambda pair: pair[0].cusp_widths):
         e2pos = sum(1 for r in group if r.e2 > 0)
         e3c = {k: sum(1 for r in group if r.e2 == 0 and r.e3 == k)
                for k in (1, 2, 3)}
-        one = sum(_lift_pair(r)[0] for r in group)
-        two = sum(_lift_pair(r)[1] for r in group)
+        one = sum(lift_pair(r)[0] for r in group)
+        two = sum(lift_pair(r)[1] for r in group)
         col = [c + v for c, v in
                zip(col, (e2pos, e3c[1], e3c[2], e3c[3], one, two))]
         lines.append(f"{_partition(tf):10s} {tf.aut_order:3d} {tf.loop_count:5d}"
@@ -347,13 +332,8 @@ def report_k12(records):
 
 def report_k18(records):
     """Class counts per index-18 partition bucketed by torsion signature."""
-    strata = {}
-    for rec in records:
-        if _tf_index_of(rec) == 18:
-            strata.setdefault(rec.tf_code, []).append(rec)
     buckets = {}
-    for code, group in strata.items():
-        tf = next(r for r in group if r.canonical_code == code)
+    for tf, group in _tf_groups(records, 18):
         key = _partition(tf)
         b = buckets.setdefault(key, [0, 0, 0, 0])
         b[0] += 1
@@ -374,7 +354,7 @@ def report_k24(records):
     """Index-24 tf graphs by loop count and symmetry, with Burnside factors."""
     rows = {}
     for rec in records:
-        if _tf_index_of(rec) != 24 or rec.e2 or rec.e3:
+        if tf_index(rec) != 24 or rec.e2 or rec.e3:
             continue
         h = from_code(bytes.fromhex(rec.canonical_code))
         aut = automorphism_group(h)
@@ -398,7 +378,7 @@ def report_k24sym(records):
     """The loopy symmetric index-24 tf dessins with their partitions."""
     picks = []
     for rec in records:
-        if (_tf_index_of(rec) == 24 and rec.e2 == 0 and rec.e3 == 0
+        if (tf_index(rec) == 24 and rec.e2 == 0 and rec.e3 == 0
                 and rec.loop_count > 0 and rec.aut_order > 1):
             h = from_code(bytes.fromhex(rec.canonical_code))
             label = group_label(automorphism_group(h).elements)

@@ -10,6 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
+from .lifts import tf_index
 from .slwords import Mat2
 
 KodairaFibre = namedtuple(
@@ -56,10 +57,6 @@ def star_partner(name):
     return _STAR_PARTNER[key]
 
 
-def local_monodromy(fibre):
-    return fibre.local_monodromy
-
-
 EulerInput = namedtuple("EulerInput", "star_count l index r_list t_list")
 
 
@@ -90,14 +87,10 @@ def minimal_euler_tf(index):
 
 def minimal_euler(rec):
     """Minimal Euler number of any elliptic surface over the record's group."""
-    return minimal_euler_tf(_tf_index(rec))
+    return minimal_euler_tf(tf_index(rec))
 
 
 def is_monodromy_at(rec, n):
     """Does the group occur as monodromy of a relatively minimal elliptic
     surface with Euler number n?  (n=24 is the K3 case.)"""
-    return n % 12 == 0 and rec.genus == 0 and _tf_index(rec) <= n
-
-
-def _tf_index(rec):
-    return bytes.fromhex(rec.tf_code)[0]
+    return n % 12 == 0 and rec.genus == 0 and tf_index(rec) <= n

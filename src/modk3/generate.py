@@ -9,15 +9,16 @@ Two independent generators live here:
   keeps exactly one of them.
 * brute_force_oracle -- for each involution cycle type, fix one alpha and
   run over every sigma of order dividing 3, keeping transitive pairs.
-  Much slower, no shared machinery, used to cross-check the search.
+  Much slower, used to cross-check the search; it shares only the
+  transitivity walk, canonical_code and subgroup_type with it.
 """
 
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    Hypermap, _root_code, automorphism_group, canonical_code, from_code,
-    subgroup_type,
+    Hypermap, _reach_count, _root_code, automorphism_group, canonical_code,
+    from_code, subgroup_type,
 )
 
 ORACLE_MAX = 12
@@ -29,7 +30,6 @@ class EnumerationConstraints:
     index: int | None = None
     genus_filter: int | None = None
     torsion_free: bool = False
-    max_index: int | None = None
 
 
 def _search(n, torsion_free, emit):
@@ -130,6 +130,8 @@ def _classes_at(n, genus_filter, torsion_free):
 
 
 def _check_index(n):
+    if n is None:
+        raise ValueError("set an index")
     if n < 1:
         raise DomainError(f"index must be at least 1, got {n}")
     if n > MAX_INDEX:
@@ -140,22 +142,15 @@ def _check_index(n):
 def enumerate_classes(constraints):
     """All conjugacy classes meeting the constraints, as sorted Hypermaps.
 
-    Exactly one of index / max_index must be set; max_index walks every
-    index from 1 up and concatenates.  Indices outside 1..MAX_INDEX are
-    refused before any search.
+    The index must be set; indices outside 1..MAX_INDEX are refused before
+    any search.
     """
     c = constraints
-    if (c.index is None) == (c.max_index is None):
-        raise ValueError("set exactly one of index and max_index")
-    _check_index(c.max_index if c.index is None else c.index)
-    indices = [c.index] if c.index is not None else range(1, c.max_index + 1)
-    out = []
-    for n in indices:
-        if c.torsion_free and n % 6 != 0:
-            continue
-        codes, _ = _classes_at(n, c.genus_filter, c.torsion_free)
-        out.extend(from_code(code) for code in codes)
-    return out
+    _check_index(c.index)
+    if c.torsion_free and c.index % 6 != 0:
+        return []
+    codes, _ = _classes_at(c.index, c.genus_filter, c.torsion_free)
+    return [from_code(code) for code in codes]
 
 
 def rooted_count(classes):
@@ -174,8 +169,6 @@ def search_leaf_count(constraints):
     tally double-checks the search against the automorphism bookkeeping.
     """
     c = constraints
-    if c.index is None or c.max_index is not None:
-        raise ValueError("search_leaf_count wants a single index")
     _check_index(c.index)
     if c.torsion_free and c.index % 6 != 0:
         return 0
@@ -206,21 +199,6 @@ def _order3_perms(n, allow_fixed):
     yield from rec(0)
 
 
-def _is_transitive(n, sigma, alpha):
-    seen = [False] * n
-    seen[0] = True
-    todo = [0]
-    count = 1
-    while todo:
-        e = todo.pop()
-        for f in (sigma[e], alpha[e]):
-            if not seen[f]:
-                seen[f] = True
-                count += 1
-                todo.append(f)
-    return count == n
-
-
 def brute_force_oracle(n, genus_filter=None, torsion_free=False):
     """Classes at index n by brute force; canonical codes, sorted.
 
@@ -240,7 +218,7 @@ def brute_force_oracle(n, genus_filter=None, torsion_free=False):
         for i in range(two_cycles):
             alpha[2 * i], alpha[2 * i + 1] = 2 * i + 1, 2 * i
         for sigma in _order3_perms(n, allow_fixed=not torsion_free):
-            if not _is_transitive(n, sigma, alpha):
+            if _reach_count(sigma, alpha) != n:
                 continue
             h = Hypermap(sigma, alpha)
             if genus_filter is not None and subgroup_type(h).g != genus_filter:

@@ -117,20 +117,27 @@ def validate(h):
             raise OrderViolation(f"sigma^3 != id at edge {e}")
         if h.alpha[h.alpha[e]] != e:
             raise OrderViolation(f"alpha^2 != id at edge {e}")
-    seen = [False] * n
+    count = _reach_count(h.sigma, h.alpha)
+    if count != n:
+        raise NotTransitive(f"dessin splits: {count} of {n} edges reachable from edge 0")
+    return h
+
+
+def _reach_count(sigma, alpha):
+    """Number of edges reachable from edge 0; <sigma, alpha> is transitive
+    iff it equals n."""
+    seen = [False] * len(sigma)
     seen[0] = True
     todo = [0]
     count = 1
     while todo:
         e = todo.pop()
-        for f in (h.sigma[e], h.alpha[e]):
+        for f in (sigma[e], alpha[e]):
             if not seen[f]:
                 seen[f] = True
                 count += 1
                 todo.append(f)
-    if count != n:
-        raise NotTransitive(f"dessin splits: {count} of {n} edges reachable from edge 0")
-    return h
+    return count
 
 
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
@@ -212,10 +219,17 @@ def canonical_code(h):
     The lexicographic minimum over all n roots of the breadth-first
     relabeling code of _root_code: bytes([n]) + sigma images + alpha
     images.  A root is abandoned at the first byte that loses to the best
-    code so far.
+    code so far.  Raises NotTransitive (or OrderViolation) on a pair that
+    is not a dessin.
     """
     sigma, alpha = h.sigma, h.alpha
-    best = _root_code(sigma, alpha, 0, None)
+    try:
+        best = _root_code(sigma, alpha, 0, None)
+    except IndexError:
+        # the walk from root 0 runs out of edges when the pair splits;
+        # validate names the typed error
+        validate(h)
+        raise
     for root in range(1, h.n):
         code = _root_code(sigma, alpha, root, best)
         if code is not None:

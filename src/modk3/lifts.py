@@ -11,7 +11,7 @@ depend on the catalog layer.
 
 from collections import namedtuple
 
-from .errors import IncompleteCatalog, OutOfRange
+from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import EnumerationConstraints, enumerate_classes
 from .hypermap import automorphism_group, canonical_code, from_code
 from .torsion import expand_classes
@@ -29,7 +29,9 @@ def _decode(rec):
     return from_code(bytes.fromhex(rec.canonical_code))
 
 
-def _tf_index(rec):
+def tf_index(rec):
+    """Index of the torsion-free class the record retracts to:
+    n + 3 e2 + 2 e3, read from the first byte of its tf code."""
     return bytes.fromhex(rec.tf_code)[0]
 
 
@@ -39,7 +41,8 @@ def star_orbit_count(rec, parity, max_size):
     These are the inequivalent ways to place *-fibres on a torsion-free
     dessin; parity comes from 12 | (6k + 6 * #stars).
     """
-    assert rec.e2 == 0 and rec.e3 == 0, "star placement lives on tf dessins"
+    if rec.e2 or rec.e3:
+        raise DomainError("star placement lives on tf dessins")
     aut = automorphism_group(_decode(rec))
     nfaces = len(aut.faces)
     reps = 0
@@ -65,10 +68,11 @@ def lift_profile(rec):
     """(1:1 count, 2:1 count, note) of K3-realized lift classes."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
-    k6 = _tf_index(rec)
+    k6 = tf_index(rec)
     if k6 > 24:
         raise OutOfRange(f"torsion-free index {k6} exceeds the K3 bound 24")
-    assert k6 % 6 == 0, f"torsion-free index {k6} is not a multiple of 6"
+    if k6 % 6 or not k6:
+        raise DomainError(f"torsion-free index {k6} is not a positive multiple of 6")
     k = k6 // 6
 
     if rec.e2 > 0:
@@ -85,35 +89,31 @@ def lift_profile(rec):
     if k == 2:
         if rec.e3 == 1:
             orbits = face_orbit_count(rec)
-            assert orbits == 3, f"expected 3 face orbits, found {orbits}"
+            if orbits != 3:
+                raise ValidationError(f"expected 3 face orbits, found {orbits}")
             return LiftProfile(orbits, 1)
         return LiftProfile({2: 1, 3: 0}[rec.e3], 1)
-    assert k == 3
-    return LiftProfile(1 if rec.e3 == 1 else 0, 1)
+    return LiftProfile(1 if rec.e3 == 1 else 0, 1)       # k == 3
 
 
-def lift_count(rec):
-    """Total lift classes of one record, preferring stored counts."""
+def lift_pair(rec):
+    """(1:1 count, 2:1 count) of one record: the stored counts when both
+    are present, else the lift rules."""
     one = getattr(rec, "lift_one_to_one", None)
     two = getattr(rec, "lift_two_to_one", None)
     if one is None or two is None:
         profile = lift_profile(rec)
-        one, two = profile.one_to_one, profile.two_to_one
-    return one + two
-
-
-_TF_EXPANSION_COUNTS = {}
+        return profile.one_to_one, profile.two_to_one
+    return one, two
 
 
 def _tf_expansion_counts(n):
     """{tf code hex: number of classes over it} for torsion-free index n."""
-    if n not in _TF_EXPANSION_COUNTS:
-        counts = {}
-        for h in enumerate_classes(EnumerationConstraints(
-                index=n, torsion_free=True, genus_filter=0)):
-            counts[canonical_code(h).hex()] = len(expand_classes(h))
-        _TF_EXPANSION_COUNTS[n] = counts
-    return _TF_EXPANSION_COUNTS[n]
+    counts = {}
+    for h in enumerate_classes(EnumerationConstraints(
+            index=n, torsion_free=True, genus_filter=0)):
+        counts[canonical_code(h).hex()] = len(expand_classes(h))
+    return counts
 
 
 def totals(catalog):
@@ -121,14 +121,20 @@ def totals(catalog):
 
     Completeness is re-derived, not trusted: every torsion-free class of
     index 6..24 is re-enumerated and its expansion count compared against
-    the records present.
+    the records present.  Each class must appear once, so a record
+    swapped for a copy of another is caught.
     """
     by_tf = {}
+    codes = set()
     for rec in catalog:
-        if _tf_index(rec) not in (6, 12, 18, 24):
+        if tf_index(rec) not in (6, 12, 18, 24):
             raise IncompleteCatalog(
                 f"record {rec.canonical_code[:8]}... retracts to index "
-                f"{_tf_index(rec)}, outside 6..24")
+                f"{tf_index(rec)}, outside 6..24")
+        if rec.canonical_code in codes:
+            raise ValidationError(
+                f"record {rec.canonical_code[:8]}... appears twice")
+        codes.add(rec.canonical_code)
         by_tf.setdefault(rec.tf_code, []).append(rec)
 
     for n in (6, 12, 18, 24):
@@ -148,8 +154,8 @@ def totals(catalog):
     lifts_by_index = {}
     bijective = multi_classes = multi_lifts = 0
     for rec in catalog:
-        n = _tf_index(rec)
-        count = lift_count(rec)
+        n = tf_index(rec)
+        count = sum(lift_pair(rec))
         classes_by_index[n] = classes_by_index.get(n, 0) + 1
         lifts_by_index[n] = lifts_by_index.get(n, 0) + count
         if count == 1:

@@ -95,17 +95,12 @@ def word_perm(h, word):
     return acc
 
 
-def is_member(h, root, m):
-    """Is the image of m in the subgroup attached to (h, root)?
-
-    Works at the PSL level: the sign of the word decomposition is ignored.
-    """
-    word, _ = word_of_matrix(m)
-    return word_perm(h, word)[root] == root
-
-
 def member_sign(h, root, m):
-    """(membership, sign): the sign lets SL-level callers track -I."""
+    """(membership, sign) of m for the subgroup attached to (h, root).
+
+    Membership is decided at the PSL level; the sign of the word
+    decomposition lets SL-level callers track -I.
+    """
     word, sign = word_of_matrix(m)
     return word_perm(h, word)[root] == root, sign
 

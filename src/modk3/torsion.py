@@ -16,9 +16,9 @@ automorphism action on loops.
 """
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 
-from .errors import DegenerateSubstitution, NotTransitive
+from .errors import DegenerateSubstitution, DomainError, NotTransitive
 from .hypermap import Hypermap, automorphism_group, validate
 
 KEEP = "keep"
@@ -42,9 +42,8 @@ def loops(h):
         partner = h.alpha[e]
         attach = h.sigma[e]
         # the loop must hang off a genuine 3-cycle: (e, attach, partner)
-        assert partner != e and h.sigma[attach] == partner, \
-            f"loop at edge {e} is not trivalent (torsion input?)"
-        assert attach not in (e, partner)
+        if partner == e or h.sigma[attach] != partner:
+            raise DomainError(f"loop at edge {e} is not trivalent (torsion input?)")
         out.append(LoopSite(e, partner, attach, h.alpha[attach]))
     return out
 
@@ -58,7 +57,8 @@ def substitute(h_tf, assignment):
     survivors fall apart.
     """
     sites = loops(h_tf)
-    assert len(assignment) == len(sites), "one choice per loop"
+    if len(assignment) != len(sites):
+        raise DomainError(f"{len(assignment)} choices for {len(sites)} loops")
     dead = set()
     sigma_fix = set()
     alpha_fix = set()
@@ -122,13 +122,14 @@ def expand_classes(h_tf):
     One representative per Aut-orbit of valid assignments (the tuple that
     compares least within its orbit), all-Keep first.  Degenerate
     assignments are dropped.  The Aut action on loops is free on every
-    dessin in range -- asserted, not assumed.
+    dessin in range -- checked, not assumed.
     """
     aut = automorphism_group(h_tf)
     L = len(aut.loops)
     for la in aut.loop_action[1:]:
-        assert all(la[j] != j for j in range(L)), \
-            "automorphism fixes a loop; expansion bookkeeping would break"
+        if any(la[j] == j for j in range(L)):
+            raise DomainError(
+                "automorphism fixes a loop; expansion bookkeeping would break")
 
     out = []
     for a in itertools.product((KEEP, WHITE, BLACK), repeat=L):
@@ -147,39 +148,27 @@ def expand_classes(h_tf):
     return out
 
 
-def burnside_count(loop_action, options_per_loop, restriction=None):
+def burnside_count(loop_action, options_per_loop):
     """Orbits of per-loop option assignments under the given action.
 
-    Plain Burnside: average of options^(#cycles) over the group.  With a
-    restriction, only assignments passing restriction(counts) are counted,
-    where counts is a Counter mapping option index -> number of loops
-    carrying it; the restriction must depend on those counts alone (so it
-    is automatically invariant).
+    Plain Burnside: average of options^(#cycles) over the group.
     """
     group_order = len(loop_action)
     L = len(loop_action[0]) if loop_action else 0
     total = 0
     for la in loop_action:
         seen = [False] * L
-        cycs = []
+        cycles = 0
         for j in range(L):
             if seen[j]:
                 continue
-            size = 0
+            cycles += 1
             k = j
             while not seen[k]:
                 seen[k] = True
-                size += 1
                 k = la[k]
-            cycs.append(size)
-        if restriction is None:
-            total += options_per_loop ** len(cycs)
-            continue
-        for choice in itertools.product(range(options_per_loop), repeat=len(cycs)):
-            counts = Counter()
-            for opt, size in zip(choice, cycs):
-                counts[opt] += size
-            if restriction(counts):
-                total += 1
-    assert total % group_order == 0, "Burnside sum must divide evenly"
+        total += options_per_loop ** cycles
+    if total % group_order:
+        raise DomainError("Burnside sum does not divide evenly; "
+                          "the action is not a group")
     return total // group_order

@@ -77,9 +77,9 @@ def test_criterion_1_torsion_free_counts():
           f"({time.time() - t0:.1f}s)")
 
 
-def test_criterion_2_partitions_and_symmetries():
+def test_criterion_2_partitions_and_symmetries(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     tf12 = [r for r in cat if r.index == 12 and r.e2 == 0 and r.e3 == 0]
     assert {_partition(r): r.aut_order for r in tf12} == INDEX12_AUT
     assert len(tf12) == 6
@@ -93,9 +93,9 @@ def test_criterion_2_partitions_and_symmetries():
           f"symmetry orders ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_3_strata_and_torsion_tables():
+def test_criterion_3_strata_and_torsion_tables(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     by_stratum = Counter(_tf_index(r) for r in cat)
     assert dict(by_stratum) == STRATA_CLASSES
     assert len(cat) == 3228
@@ -125,9 +125,9 @@ def test_criterion_3_strata_and_torsion_tables():
           f"index-12 and index-18 torsion tables ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_4_index24_loops_and_symmetries():
+def test_criterion_4_index24_loops_and_symmetries(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     tf24 = [r for r in cat if r.index == 24 and r.e2 == 0 and r.e3 == 0]
     assert len(tf24) == 191
 
@@ -160,9 +160,9 @@ def test_criterion_4_index24_loops_and_symmetries():
           f"loopy symmetric dessins ({time.time() - t0:.1f}s)")
 
 
-def test_criterion_5_lift_totals():
+def test_criterion_5_lift_totals(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     lifts_by = Counter()
     for r in cat:
         lifts_by[_tf_index(r)] += r.lift_one_to_one + r.lift_two_to_one
@@ -206,9 +206,9 @@ def test_criterion_6_oracle_equivalence():
     print(f"PASS criterion 6 - oracle equals search for all n <= 8 ({dt:.1f}s)")
 
 
-def test_criterion_7_invariant_suite():
+def test_criterion_7_invariant_suite(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     tf_codes = set()
     for rec in cat:
         h = from_code(bytes.fromhex(rec.canonical_code))
@@ -250,9 +250,9 @@ def test_criterion_7_invariant_suite():
           f"({time.time() - t0:.1f}s)")
 
 
-def test_criterion_8_word_statistics():
+def test_criterion_8_word_statistics(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     catalog.verify_records(cat, samples=1000)
     for rec in cat:
         h = from_code(bytes.fromhex(rec.canonical_code))
@@ -269,9 +269,9 @@ def test_criterion_8_word_statistics():
           f"for every class ({dt:.1f}s)")
 
 
-def test_criterion_9_euler_numbers():
+def test_criterion_9_euler_numbers(full_catalog):
     t0 = time.time()
-    cat = catalog.full_catalog()
+    cat = full_catalog()
     for rec in cat:
         k6 = _tf_index(rec)
         want = k6 if k6 % 12 == 0 else k6 + 6

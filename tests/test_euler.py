@@ -5,8 +5,7 @@ from collections import namedtuple
 from modk3.errors import DomainError
 from modk3.euler import (
     EulerInput, corollary_euler, euler_number, is_monodromy_at,
-    kodaira_fibre, local_monodromy, minimal_euler, minimal_euler_tf,
-    star_partner,
+    kodaira_fibre, minimal_euler, minimal_euler_tf, star_partner,
 )
 from modk3.hypermap import Hypermap, canonical_code, perm_from_cycles
 from modk3.slwords import I2, Mat2
@@ -33,7 +32,7 @@ def test_fibre_monodromies():
     assert kodaira_fibre("I0*").local_monodromy == Mat2(-1, 0, 0, -1)
     assert kodaira_fibre("II").local_monodromy == Mat2(1, 1, -1, 0)
     # II's matrix has order exactly 6
-    m = local_monodromy(kodaira_fibre("II"))
+    m = kodaira_fibre("II").local_monodromy
     acc = m
     for k in range(1, 6):
         assert acc != I2

@@ -21,8 +21,9 @@ def test_index_one():
 
 
 def test_all_results_validate():
-    for h in enumerate_classes(EnumerationConstraints(max_index=7)):
-        validate(h)
+    for n in range(1, 8):
+        for h in enumerate_classes(EnumerationConstraints(index=n)):
+            validate(h)
 
 
 def test_torsion_free_skips_non_multiples_of_six():
@@ -67,12 +68,6 @@ def test_output_is_sorted_and_deterministic():
     assert len(set(a)) == len(a)
 
 
-def test_max_index_concatenates():
-    merged = codes(max_index=5)
-    split = [c for n in range(1, 6) for c in codes(index=n)]
-    assert merged == split
-
-
 def test_constraint_validation():
     try:
         enumerate_classes(EnumerationConstraints())
@@ -80,12 +75,7 @@ def test_constraint_validation():
     except ValueError:
         pass
     try:
-        enumerate_classes(EnumerationConstraints(index=3, max_index=5))
-        assert False
-    except ValueError:
-        pass
-    try:
-        search_leaf_count(EnumerationConstraints(max_index=4))
+        search_leaf_count(EnumerationConstraints())
         assert False
     except ValueError:
         pass
@@ -132,11 +122,9 @@ def test_rooted_counts_match_hall_past_the_oracle():
 
 def test_index_bounds():
     for n, err in ((0, DomainError), (-3, DomainError), (256, ResourceBound)):
-        for fn, kw in ((enumerate_classes, "index"),
-                       (enumerate_classes, "max_index"),
-                       (search_leaf_count, "index")):
+        for fn in (enumerate_classes, search_leaf_count):
             try:
-                fn(EnumerationConstraints(**{kw: n}))
-                assert False, f"{fn.__name__} accepted {kw}={n}"
+                fn(EnumerationConstraints(index=n))
+                assert False, f"{fn.__name__} accepted index={n}"
             except err:
                 pass

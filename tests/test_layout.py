@@ -1,0 +1,38 @@
+"""Package layout guards: no per-process memo, one copy of each shared helper."""
+
+import importlib
+import inspect
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import modk3
+
+SRC = str(Path(modk3.__file__).resolve().parents[1])
+
+
+def test_no_empty_module_containers():
+    # an empty module-level dict, list or set is how a memo starts out; a
+    # fresh interpreter sees it before any other test has filled it
+    code = ("import importlib, pkgutil, modk3\n"
+            "for info in pkgutil.iter_modules(modk3.__path__):\n"
+            "    mod = importlib.import_module('modk3.' + info.name)\n"
+            "    for name, value in vars(mod).items():\n"
+            "        if type(value) in (dict, list, set) and not value:\n"
+            "            print(mod.__name__ + '.' + name)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+
+
+def test_one_transitivity_walk_and_one_tf_index():
+    mods = [importlib.import_module(f"modk3.{info.name}")
+            for info in pkgutil.iter_modules(modk3.__path__)]
+    names = [f"{mod.__name__}.{name}"
+             for mod in mods for name, fn in vars(mod).items()
+             if inspect.isfunction(fn) and fn.__module__ == mod.__name__]
+    assert [n for n in names if "transitive" in n or "reach" in n] == \
+        ["modk3.hypermap._reach_count"]
+    assert [n for n in names if "tf_index" in n] == ["modk3.lifts.tf_index"]

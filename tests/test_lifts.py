@@ -2,11 +2,13 @@
 
 from collections import namedtuple
 
-from modk3.errors import IncompleteCatalog, OutOfRange
+from modk3.errors import (
+    DomainError, IncompleteCatalog, OutOfRange, ValidationError,
+)
 from modk3.generate import EnumerationConstraints, enumerate_classes
 from modk3.hypermap import canonical_code, cusp_widths, subgroup_type
 from modk3.lifts import (
-    face_orbit_count, lift_count, lift_profile, star_orbit_count, totals,
+    face_orbit_count, lift_pair, lift_profile, star_orbit_count, totals,
 )
 from modk3.torsion import expand_classes
 
@@ -95,7 +97,7 @@ def test_k2_e3_one_face_orbits():
 def test_stratum_six():
     recs = stratum(6)
     assert len(recs) == 6
-    assert sum(lift_count(r) for r in recs) == 14
+    assert sum(sum(lift_pair(r)) for r in recs) == 14
     profiles = sorted(lift_profile(r)[:2] for r in recs)
     assert profiles == [(0, 1), (0, 1), (1, 1), (2, 1), (2, 1), (3, 1)]
 
@@ -103,7 +105,7 @@ def test_stratum_six():
 def test_stratum_twelve():
     recs = stratum(12)
     assert len(recs) == 28
-    assert sum(lift_count(r) for r in recs) == 69
+    assert sum(sum(lift_pair(r)) for r in recs) == 69
     assert sum(lift_profile(r).one_to_one for r in recs) == 41
     assert sum(lift_profile(r).two_to_one for r in recs) == 28
 
@@ -121,6 +123,13 @@ def test_out_of_range():
         assert False
     except OutOfRange:
         pass
+    for bad_call in (lambda: lift_profile(good._replace(tf_code="09")),
+                     lambda: star_orbit_count(good._replace(e3=1), 0, 1)):
+        try:
+            bad_call()
+            assert False
+        except DomainError:
+            pass
 
 
 def test_totals_rejects_foreign_records():
@@ -145,3 +154,18 @@ def test_totals_rejects_missing_expansions():
         assert False
     except IncompleteCatalog:
         pass
+
+
+def test_totals_rejects_a_swapped_duplicate(full_catalog):
+    # drop one record over the [4,1,1] tf class and repeat another record of
+    # the same class: every per-class count still matches
+    recs = full_catalog()
+    tf = next(r for r in recs if r.cusp_widths == [4, 1, 1] and r.index == 6)
+    group = [r for r in recs if r.tf_code == tf.tf_code and r is not tf]
+    recs.remove(group[0])
+    recs.append(group[1])
+    try:
+        totals(recs)
+        assert False, "totals counted a record twice"
+    except ValidationError as exc:
+        assert "appears twice" in str(exc)

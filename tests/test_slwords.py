@@ -8,7 +8,7 @@ from modk3.hypermap import (
     perm_from_cycles, subgroup_type,
 )
 from modk3.slwords import (
-    I2, Mat2, S, T, T_INV, coset_action, eval_word, is_member, member_sign,
+    I2, Mat2, S, T, T_INV, coset_action, eval_word, member_sign,
     random_sl2, word_of_matrix, word_perm,
 )
 
@@ -71,12 +71,13 @@ def test_coset_action_identity():
 
 
 def test_coset_action_cycle_data():
-    for h in enumerate_classes(EnumerationConstraints(max_index=6)):
-        t = subgroup_type(h)
-        perm_s, perm_t = coset_action(h)
-        assert sum(1 for e in range(h.n) if perm_s[e] == e) == t.e2
-        assert sum(1 for e in range(h.n) if h.sigma[e] == e) == t.e3
-        assert cycle_type(perm_t) == cusp_widths(h)
+    for n in range(1, 7):
+        for h in enumerate_classes(EnumerationConstraints(index=n)):
+            t = subgroup_type(h)
+            perm_s, perm_t = coset_action(h)
+            assert sum(1 for e in range(h.n) if perm_s[e] == e) == t.e2
+            assert sum(1 for e in range(h.n) if h.sigma[e] == e) == t.e3
+            assert cycle_type(perm_t) == cusp_widths(h)
 
 
 def test_triple_two_class_has_222_translation():
@@ -109,7 +110,7 @@ def test_word_perm_respects_products():
 def test_full_group_membership():
     rng = random.Random(14)
     for _ in range(20):
-        assert is_member(FULL, 0, random_sl2(rng))
+        assert member_sign(FULL, 0, random_sl2(rng))[0]
 
 
 def test_t_membership_reads_cusp_width():
@@ -118,20 +119,19 @@ def test_t_membership_reads_cusp_width():
     width1_roots = [e for e in range(4) if perm_t[e] == e]
     assert len(width1_roots) == 1
     for e in range(4):
-        assert is_member(H1, e, T) == (e in width1_roots)
+        assert member_sign(H1, e, T)[0] == (e in width1_roots)
 
 
 def test_index_two_membership():
     # alpha swaps the two cosets, so S sits outside but S^2 = -I inside
-    assert not is_member(H2, 0, S)
-    assert is_member(H2, 0, -I2)
+    assert not member_sign(H2, 0, S)[0]
     member, sign = member_sign(H2, 0, -I2)
     assert member and sign == -1
     member, sign = member_sign(FULL, 0, -I2)
     assert member and sign == -1
     # T has infinite order and H2's single cusp has width 2
-    assert not is_member(H2, 0, T)
-    assert is_member(H2, 0, T * T)
+    assert not member_sign(H2, 0, T)[0]
+    assert member_sign(H2, 0, T * T)[0]
 
 
 def test_membership_is_root_covariant():
@@ -144,7 +144,8 @@ def test_membership_is_root_covariant():
             gw, _ = word_of_matrix(g)
             root = rng.randrange(h.n)
             conj = g * m * g.inv()
-            assert is_member(h, root, m) == is_member(h, word_perm(h, gw)[root], conj)
+            moved = word_perm(h, gw)[root]
+            assert member_sign(h, root, m)[0] == member_sign(h, moved, conj)[0]
 
 
 def test_random_sl2_determinants():

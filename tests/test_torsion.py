@@ -1,6 +1,11 @@
 """Loop surgery: substitution, retraction, orbit expansion, Burnside."""
 
-from modk3.errors import DegenerateSubstitution
+import subprocess
+import sys
+from pathlib import Path
+
+import modk3
+from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.generate import EnumerationConstraints, enumerate_classes
 from modk3.hypermap import (
     automorphism_group, canonical_code, cusp_widths, perm_from_cycles,
@@ -116,6 +121,31 @@ def test_expand_411():
                and subgroup_type(sub).e3 == 0) == 1
 
 
+def test_expand_refuses_torsion_input():
+    # the one-edge dessin has a loop that hangs off no 3-cycle
+    try:
+        expand_classes(Hypermap((0,), (0,)))
+        assert False, "expanded a torsion dessin"
+    except DomainError as exc:
+        assert "not trivalent" in str(exc)
+
+
+def test_expand_refuses_torsion_input_under_optimize():
+    # python -O strips assert statements; the refusal must survive it
+    code = ("from modk3.errors import DomainError\n"
+            "from modk3.hypermap import Hypermap\n"
+            "from modk3.torsion import expand_classes\n"
+            "try:\n"
+            "    print(expand_classes(Hypermap((0,), (0,))))\n"
+            "except DomainError:\n"
+            "    print('DomainError', __debug__)\n")
+    src = str(Path(modk3.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "DomainError False\n"
+
+
 def test_expand_5511():
     out = expand_classes(by_widths(12, (5, 5, 1, 1)))
     assert len(out) == 6
@@ -162,15 +192,9 @@ def test_burnside_table_values():
     assert burnside_count(z3, 3) == 11
     assert burnside_count(z4, 3) == 24
     assert burnside_count(triv2, 3) == 9
-
-
-def test_burnside_with_restriction():
-    z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    # forbidding Black (option 2) is the same as a 2-option count
-    no_black = lambda counts: counts[2] == 0
-    assert burnside_count(z3, 3, no_black) == burnside_count(z3, 2) == 4
-    # exactly one loop kept, trivial symmetry: 2 * 2 choices for the rest
-    one_keep = lambda counts: counts[0] == 1
-    assert burnside_count(((0, 1),), 3, one_keep) == 4
-    # restriction nobody satisfies
-    assert burnside_count(z3, 3, lambda counts: counts[0] > 5) == 0
+    # not a group: the orbit average 14/3 is no count
+    try:
+        burnside_count(((0, 1, 2), (0, 2, 1), (1, 2, 0)), 2)
+        assert False, "a non-group action was averaged"
+    except DomainError:
+        pass
