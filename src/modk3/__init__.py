@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .hypermap import Hypermap, subgroup_type, cusp_widths, canonical_code
 from .errors import (
-    OrderViolation, NotTransitive, ResourceBound, DegenerateSubstitution,
-    DomainError, OutOfRange, IncompleteCatalog, ParseError, ValidationError,
+    Modk3Error, OrderViolation, NotTransitive, ResourceBound,
+    DegenerateSubstitution, DomainError, OutOfRange, IncompleteCatalog,
+    ParseError, ValidationError,
 )

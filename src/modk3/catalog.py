@@ -2,15 +2,15 @@
 
 One JSON object per line, fields in a fixed order, values all derivable
 from the canonical code -- the rest of the record is denormalized for
-grep-ability and is cross-checked on read.  IDs are human-facing:
-cusp-width partition plus a letter counting classes with that partition
-in canonical-code order ("4,1,1-A").
+grep-ability, and every read rebuilds it from the code and compares.  IDs
+are human-facing: cusp-width partition plus a letter counting classes
+with that partition in canonical-code order ("4,1,1-A").
 """
 
 import json
 from dataclasses import dataclass
 
-from .errors import NotTransitive, OrderViolation, ParseError, ValidationError
+from .errors import IncompleteCatalog, Modk3Error, ParseError, ValidationError
 from .generate import EnumerationConstraints, enumerate_classes
 from .hypermap import (
     automorphism_group, canonical_code, cusp_widths, cycles, from_code,
@@ -124,44 +124,25 @@ def _parse_record(obj, lineno):
 
 
 def validate_record(rec):
-    """Cross-check every derived field against the canonical code."""
+    """Rebuild the record from its canonical code and compare every field
+    from canonical_code to assignment with the stored one.
+
+    The stored code must therefore be the canonical lower-case hex code of
+    a dessin: a relabelled or upper-case copy is refused.  Lift counts are
+    only range-checked here; verify_records re-derives them.
+    """
     def bad(msg):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
 
     try:
-        code = bytes.fromhex(rec.canonical_code)
-    except ValueError:
-        bad("canonical_code is not hex")
-    if not code or len(code) != 1 + 2 * code[0]:
-        bad(f"canonical_code length {len(code)} does not fit its index byte")
-    if code[0] != rec.index:
-        bad(f"code says index {code[0]}, record says {rec.index}")
-    try:
-        h = validate(from_code(code))
-    except (OrderViolation, NotTransitive) as exc:
-        bad(f"code does not decode to a dessin ({exc})")
-    t = subgroup_type(h)
-    if (t.n, t.g, t.h, t.e2, t.e3) != (rec.index, rec.genus, rec.h, rec.e2, rec.e3):
-        bad(f"type mismatch: code gives {tuple(t)}")
-    if list(cusp_widths(h)) != list(rec.cusp_widths):
-        bad("cusp widths do not match the code")
-    if automorphism_group(h).order != rec.aut_order:
-        bad("aut_order does not match the code")
-    if loop_count(h) != rec.loop_count:
-        bad("loop_count does not match the code")
-    if (rec.index - rec.e2) % 2 or (rec.index - rec.e3) % 3:
-        bad("torsion congruences violated")
-    try:
-        tf_code = bytes.fromhex(rec.tf_code)
-    except ValueError:
-        bad("tf_code is not hex")
-    if not tf_code or rec.index + 3 * rec.e2 + 2 * rec.e3 != tf_code[0]:
-        bad(f"index identity fails: {rec.index} + 3*{rec.e2} + 2*{rec.e3} "
-            f"!= tf index")
-    if canonical_code(tf_retract(h)) != tf_code:
-        bad("tf_code is not the retraction's canonical code")
-    if rec.assignment != {"white": rec.e3, "black": rec.e2}:
-        bad("assignment counts disagree with (e3, e2)")
+        want = record_from_hypermap(
+            validate(from_code(bytes.fromhex(rec.canonical_code))))
+    except (Modk3Error, ValueError) as exc:
+        bad(f"canonical_code does not rebuild a record ({exc})")
+    for name in FIELDS[1:12]:
+        got, derived = getattr(rec, name), getattr(want, name)
+        if got != derived:
+            bad(f"{name} is {got!r}, the code gives {derived!r}")
     for name in ("lift_one_to_one", "lift_two_to_one"):
         v = getattr(rec, name)
         if v is not None and v < 0:
@@ -172,7 +153,11 @@ def validate_record(rec):
 
 
 def _parse_file(path):
-    """Yield (line number, record) per non-blank line, parsed, not validated."""
+    """Yield (line number, record) per non-blank line, parsed, not validated.
+
+    A canonical code already seen on an earlier line is a ParseError.
+    """
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -181,7 +166,11 @@ def _parse_file(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})")
-            yield lineno, _parse_record(obj, lineno)
+            rec = _parse_record(obj, lineno)
+            first = first_line.setdefault(rec.canonical_code, lineno)
+            if first != lineno:
+                raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
+            yield lineno, rec
 
 
 def read_records(path):
@@ -231,13 +220,14 @@ def add_lift_fields(records):
 
 
 def full_catalog():
-    """The complete K catalog with lift counts, built afresh on each call."""
+    """The complete K catalog with lift counts, built afresh on each call;
+    strata in index order, with the per-stratum ids that the CLI writes."""
     records = []
     for n in (6, 12, 18, 24):
         tf = enumerate_records(EnumerationConstraints(
             index=n, torsion_free=True, genus_filter=0))
         records.extend(add_lift_fields(expand_records(tf)))
-    return assign_ids(records)
+    return records
 
 
 # ------------------------------------------------------------------ reports
@@ -272,13 +262,17 @@ def _partition(rec):
 
 def _tf_groups(records, n):
     """(tf record, records over it) per tf class of index n, in first-seen
-    order."""
+    order; a class without its own tf record is an IncompleteCatalog."""
     groups = {}
     for rec in records:
         if tf_index(rec) == n:
             groups.setdefault(rec.tf_code, []).append(rec)
-    return [(next(r for r in group if r.canonical_code == code), group)
-            for code, group in groups.items()]
+    by_code = {r.canonical_code: r for r in records}
+    for code, group in groups.items():
+        if code not in by_code:
+            raise IncompleteCatalog(f"{len(group)} records retract to tf code "
+                                    f"{code}, which has no record of its own")
+    return [(by_code[code], group) for code, group in groups.items()]
 
 
 def report_tf_counts(records):
@@ -362,7 +356,9 @@ def report_k24(records):
         mult = burnside_count(aut.loop_action, 3)
         key = (rec.loop_count, label)
         count, seen_mult = rows.get(key, (0, mult))
-        assert seen_mult == mult, "one symmetry bucket, two mult factors"
+        if seen_mult != mult:
+            raise ValidationError(f"symmetry bucket {key} has two mult "
+                                  f"factors, {seen_mult} and {mult}")
         rows[key] = (count + 1, mult)
     lines = ["loops  symmetry  graphs  mult  classes"]
     total = 0
@@ -459,10 +455,7 @@ def verify_records(records, samples=1000):
 
     for rec in records:
         validate_record(rec)
-        code = bytes.fromhex(rec.canonical_code)
-        h = from_code(code)
-        if canonical_code(h) != code:
-            raise ValidationError(f"record {rec.id}: code is not canonical")
+        h = from_code(bytes.fromhex(rec.canonical_code))
         if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
             p = lift_profile(rec)
             for name, want in (("lift_one_to_one", p.one_to_one),

@@ -4,15 +4,10 @@ import argparse
 import sys
 
 from . import catalog
-from .errors import (
-    DegenerateSubstitution, DomainError, IncompleteCatalog, NotTransitive,
-    OrderViolation, OutOfRange, ParseError, ResourceBound, ValidationError,
-)
+from .errors import Modk3Error
 from .generate import EnumerationConstraints
 
-_ERRORS = (OrderViolation, NotTransitive, ResourceBound, DegenerateSubstitution,
-           DomainError, OutOfRange, IncompleteCatalog, ParseError,
-           ValidationError, OSError, ValueError)
+_ERRORS = (Modk3Error, OSError, ValueError)
 
 
 def _emit(records, out):

@@ -7,7 +7,6 @@ everything downstream assumes it.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DomainError
 from .lifts import tf_index
@@ -61,16 +60,17 @@ EulerInput = namedtuple("EulerInput", "star_count l index r_list t_list")
 
 
 def euler_number(inp):
-    """6*(stars) + l*index + 6*(sum of fractional parts (r+1)/2, (t+1)/3)."""
-    assert inp.star_count >= 0 and inp.l >= 1
-    assert all(r >= 0 for r in inp.r_list) and all(t >= 0 for t in inp.t_list)
-    total = Fraction(6 * inp.star_count + inp.l * inp.index)
-    for r in inp.r_list:
-        total += 6 * (Fraction(r + 1, 2) % 1)
-    for t in inp.t_list:
-        total += 6 * (Fraction(t + 1, 3) % 1)
-    assert total.denominator == 1, f"Euler number came out fractional: {total}"
-    return int(total)
+    """6*(stars) + l*index + 6*(sum of fractional parts (r+1)/2, (t+1)/3).
+
+    Six times a fractional part in halves or thirds is an integer,
+    3*((r+1) mod 2) or 2*((t+1) mod 3), so the sum is exact in integers.
+    """
+    if (inp.star_count < 0 or inp.l < 1
+            or any(r < 0 for r in inp.r_list) or any(t < 0 for t in inp.t_list)):
+        raise DomainError(f"Euler input out of range: {inp}")
+    return (6 * inp.star_count + inp.l * inp.index
+            + sum(3 * ((r + 1) % 2) for r in inp.r_list)
+            + sum(2 * ((t + 1) % 3) for t in inp.t_list))
 
 
 def corollary_euler(star_count, index, e2, e3):

@@ -155,7 +155,8 @@ def enumerate_classes(constraints):
 
 def rooted_count(classes):
     """Number of rooted dessins (= subgroups, not classes): sum of n/|Aut|."""
-    assert len({h.n for h in classes}) <= 1, "classes must share one index"
+    if len({h.n for h in classes}) > 1:
+        raise DomainError("classes must share one index")
     total = 0
     for h in classes:
         total += h.n // automorphism_group(h).order

@@ -108,6 +108,8 @@ class Hypermap:
 def validate(h):
     """Return h if sigma^3 = alpha^2 = id and the action is transitive."""
     n = h.n
+    if n == 0:
+        raise NotTransitive("a dessin needs at least one edge")
     if len(h.alpha) != n:
         raise OrderViolation(f"sigma moves {n} points but alpha moves {len(h.alpha)}")
     if sorted(h.sigma) != list(range(n)) or sorted(h.alpha) != list(range(n)):
@@ -238,9 +240,10 @@ def canonical_code(h):
 
 
 def from_code(code):
-    """Rebuild the hypermap serialized by canonical_code."""
+    """Rebuild the hypermap serialized by canonical_code (not validated)."""
+    if not code or len(code) != 1 + 2 * code[0]:
+        raise DomainError(f"code length {len(code)} does not fit its index byte")
     n = code[0]
-    assert len(code) == 1 + 2 * n, f"code length {len(code)} does not fit n={n}"
     return Hypermap(code[1:1 + n], code[1 + n:])
 
 
@@ -293,8 +296,9 @@ def automorphism_group(h):
         psi = _extend_map(h, t)
         if psi is not None:
             els.append(psi)
-    assert els and els[0] == identity_perm(h.n)
-    assert h.n % len(els) == 0, "|Aut| must divide n on a transitive action"
+    if not els or els[0] != identity_perm(h.n) or h.n % len(els):
+        # on a transitive action the identity extends and |Aut| divides n
+        raise NotTransitive(f"{len(els)} automorphisms on {h.n} edges")
 
     faces = cycles(h.phi())
     face_of = {}

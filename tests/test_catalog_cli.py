@@ -1,10 +1,18 @@
 """Catalog serialization, reports, and the command-line front end."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
 
 from modk3 import catalog, cli
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
 from modk3.generate import EnumerationConstraints
+from modk3.hypermap import (
+    Hypermap, canonical_code, from_code, relabel, validate,
+)
 
 
 def tf_records(n):
@@ -119,7 +127,7 @@ def test_validation_failures(tmp_path):
         catalog.read_records(path)
         assert False, "index identity violation was accepted"
     except ValidationError as exc:
-        assert "line 1" in str(exc) and "identity" in str(exc)
+        assert "line 1" in str(exc) and "tf_code" in str(exc)
 
     # a denormalized field that disagrees with the code
     obj = json.loads(catalog.record_to_json(recs[-1]))
@@ -154,6 +162,24 @@ def test_validation_failures(tmp_path):
         assert False
     except ValidationError:
         pass
+
+
+def test_validation_refuses_a_tf_index_past_one_byte():
+    # 80 triangles in a chain leave 82 alpha fixed points: the retraction
+    # has 240 + 3 * 82 edges, more than a code's index byte can hold
+    sigma, alpha = [], list(range(240))
+    for t in range(80):
+        sigma += [3 * t + 1, 3 * t + 2, 3 * t]
+        if t:
+            alpha[3 * t - 1], alpha[3 * t] = 3 * t, 3 * t - 1
+    code = canonical_code(validate(Hypermap(sigma, alpha))).hex()
+    rec = catalog.DessinRecord("chain", code, 240, 0, 1, 82, 0, [240], 1, 0,
+                               "00", {"white": 0, "black": 82})
+    try:
+        catalog.validate_record(rec)
+        assert False, "a record past the tf index range was accepted"
+    except ValidationError as exc:
+        assert "does not rebuild a record" in str(exc)
 
 
 def test_empty_file_is_empty_catalog(tmp_path):
@@ -335,3 +361,144 @@ def test_verify_cli_validates_each_record_once(tmp_path, monkeypatch, capsys):
                         lambda rec: calls.append(rec.id) or validate(rec))
     assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 0
     assert sorted(calls) == sorted(r.id for r in k6_records())
+
+
+def run_cli(argv):
+    """(exit status, stderr) of one in-process CLI call; stdout is dropped."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        status = cli.main(argv)
+    return status, err.getvalue()
+
+
+ERROR_LINE = re.compile(r"error: (ParseError|ValidationError): line \d+: .*\n")
+
+
+def relabelled_swap(records):
+    """Lines of records where one record is replaced by a relabelled copy of
+    another class over the same tf class, carrying its own lift counts."""
+    lines = [catalog.record_to_json(r) for r in records]
+    for i, a in enumerate(records):
+        b = next((j for j, r in enumerate(records)
+                  if r.tf_code == a.tf_code and r is not a), None)
+        h = from_code(bytes.fromhex(a.canonical_code))
+        g = relabel(h, tuple(reversed(range(h.n))))
+        code = bytes([g.n, *g.sigma, *g.alpha]).hex()
+        if b is not None and code != a.canonical_code:
+            obj = json.loads(lines[i])
+            obj["canonical_code"] = code
+            lines[b] = json.dumps(obj, separators=(",", ":"))
+            return lines
+    raise AssertionError("no record has a non-canonical relabelling")
+
+
+def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
+    path = tmp_path / "tampered.jsonl"
+    lines = [catalog.record_to_json(r) for r in full_catalog()]
+    i = next(i for i, line in enumerate(lines)
+             if re.search(r'"canonical_code":"[0-9]*[a-f]', line))
+    upper = json.loads(lines[i])
+    upper["canonical_code"] = upper["canonical_code"].upper()
+    empty = json.loads(lines[0])
+    empty["canonical_code"] = "00"
+    cases = [("k6", relabelled_swap(k6_records()), "canonical_code"),
+             ("totals", relabelled_swap(full_catalog()), "canonical_code"),
+             ("k6", [json.dumps(empty)] + lines[1:], "at least one edge"),
+             ("k6", lines[:i] + [json.dumps(upper)] + lines[i + 1:],
+              "canonical_code")]
+    for table, tampered, word in cases:
+        path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        status, err = run_cli(["report", "--in", str(path), "--table", table])
+        assert status == 1 and ERROR_LINE.fullmatch(err) and word in err, err
+    # the upper-case code is still in the file
+    status, err = run_cli(["verify", "--in", str(path), "--samples", "5"])
+    assert status == 1 and len(err.splitlines()) == 1
+    assert err.startswith("error: ValidationError: ") and upper["id"] in err
+
+
+def json_values(examples):
+    """Any JSON value, plus the values that other lines store in the field."""
+    leaves = (st.none() | st.booleans() | st.integers(-3, 30) | st.integers()
+              | st.floats() | st.text(max_size=12) | st.sampled_from(examples))
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                        max_leaves=6)
+
+
+def test_cli_error_contract_on_fuzzed_lines(tmp_path):
+    path = tmp_path / "k6.jsonl"
+    objs = [json.loads(catalog.record_to_json(r)) for r in k6_records()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, len(objs) - 1), st.sampled_from(catalog.FIELDS),
+           st.data())
+    def check(i, name, data):
+        obj = dict(objs[i])
+        obj[name] = data.draw(json_values([o[name] for o in objs]))
+        lines = [json.dumps(o) for o in objs]
+        lines[i] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        status, err = run_cli(["report", "--in", str(path), "--table", "k6"])
+        assert (status, err) == (0, "") or (
+            status == 1 and ERROR_LINE.fullmatch(err)), (status, err)
+
+    check()
+
+
+def test_read_rejects_a_repeated_code(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    lines = [catalog.record_to_json(r) for r in k6_records()]
+    path.write_text("\n".join(lines + lines) + "\n", encoding="utf-8")
+    try:
+        catalog.read_records(path)
+        assert False, "a repeated canonical code was accepted"
+    except ParseError as exc:
+        assert str(exc) == "line 7: canonical_code repeats line 1"
+    for argv in (["verify", "--samples", "5"], ["report", "--table", "k6"]):
+        status, err = run_cli(argv + ["--in", str(path)])
+        assert (status, err) == (
+            1, "error: ParseError: line 7: canonical_code repeats line 1\n")
+
+
+def test_reports_need_the_tf_record_of_each_class(tmp_path):
+    tf = tmp_path / "tf12.jsonl"
+    k12 = tmp_path / "k12.jsonl"
+    assert cli.main(["enumerate", "--index", "12", "--torsion-free",
+                     "--genus", "0", "--out", str(tf)]) == 0
+    assert cli.main(["expand", "--in", str(tf), "--out", str(k12)]) == 0
+    lines = [line for line in k12.read_text(encoding="utf-8").splitlines()
+             if json.loads(line)["id"] != "9,1,1,1-A"]
+    k12.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, err = run_cli(["report", "--in", str(k12), "--table", "k12"])
+    assert status == 1 and len(err.splitlines()) == 1
+    assert err.startswith("error: IncompleteCatalog: "), err
+    k18 = catalog.expand_records(tf_records(18))
+    try:
+        catalog.report_k18([r for r in k18 if r.id != "7,7,2,1,1-A"])
+        assert False, "report_k18 accepted a class without its tf record"
+    except IncompleteCatalog:
+        pass
+
+
+def test_k24_report_refuses_a_split_bucket(monkeypatch):
+    mults = iter(range(1, 1000))
+    monkeypatch.setattr(catalog, "burnside_count", lambda *args: next(mults))
+    try:
+        catalog.report_k24(tf_records(24))
+        assert False, "one symmetry bucket took two mult factors"
+    except ValidationError as exc:
+        assert "mult" in str(exc)
+
+
+def test_full_catalog_is_the_concatenated_cli_files(tmp_path, full_catalog):
+    parts = []
+    for n in (6, 12, 18, 24):
+        tf, k, kl = (tmp_path / f"{name}{n}.jsonl" for name in ("tf", "k", "kl"))
+        assert cli.main(["enumerate", "--index", str(n), "--torsion-free",
+                         "--genus", "0", "--out", str(tf)]) == 0
+        assert cli.main(["expand", "--in", str(tf), "--out", str(k)]) == 0
+        assert cli.main(["lifts", "--in", str(k), "--out", str(kl)]) == 0
+        parts.append(kl.read_bytes())
+    path = tmp_path / "api.jsonl"
+    catalog.write_records(path, full_catalog())
+    assert path.read_bytes() == b"".join(parts)

@@ -122,6 +122,16 @@ def test_euler_number_ramification():
     assert euler_number(EulerInput(0, 2, 12, [], [])) == 24
 
 
+def test_euler_number_refuses_negative_input():
+    for inp in (EulerInput(-1, 1, 12, [], []), EulerInput(0, 0, 12, [], []),
+                EulerInput(0, 1, 12, [-1], []), EulerInput(0, 1, 12, [], [-2])):
+        try:
+            euler_number(inp)
+            assert False, inp
+        except DomainError:
+            pass
+
+
 def test_corollary_euler():
     assert corollary_euler(0, 12, 0, 0) == 12
     assert corollary_euler(1, 6, 0, 0) == 12

@@ -120,6 +120,16 @@ def test_rooted_counts_match_hall_past_the_oracle():
         assert search_leaf_count(cs) == want
 
 
+def test_rooted_count_needs_one_index():
+    mixed = (enumerate_classes(EnumerationConstraints(index=2))
+             + enumerate_classes(EnumerationConstraints(index=3)))
+    try:
+        rooted_count(mixed)
+        assert False, "rooted_count summed two indices"
+    except DomainError:
+        pass
+
+
 def test_index_bounds():
     for n, err in ((0, DomainError), (-3, DomainError), (256, ResourceBound)):
         for fn in (enumerate_classes, search_leaf_count):

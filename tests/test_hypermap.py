@@ -76,11 +76,27 @@ def test_validate_rejects_bad_orders():
 
 
 def test_validate_rejects_disconnected():
-    for fn in (validate, canonical_code):
+    for fn in (validate, canonical_code, automorphism_group):
         try:
             fn(Hypermap((0, 1), (0, 1)))
             assert False, fn.__name__
         except NotTransitive:
+            pass
+
+
+def test_empty_and_misfit_codes_are_refused():
+    # the one-byte code 00 decodes to the empty pair, which is no dessin
+    for fn in (validate, automorphism_group):
+        try:
+            fn(from_code(b"\x00"))
+            assert False, fn.__name__
+        except NotTransitive:
+            pass
+    for code in (b"", b"\x01\x00", bytes([2, 1, 0, 1, 0, 0])):
+        try:
+            from_code(code)
+            assert False, code
+        except DomainError:
             pass
 
 

@@ -1,5 +1,7 @@
-"""Package layout guards: no per-process memo, one copy of each shared helper."""
+"""Package layout guards: no per-process memo, one copy of each shared
+helper, no assert statement, one error base class."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import modk3
+from modk3 import cli, errors
 
 SRC = str(Path(modk3.__file__).resolve().parents[1])
 
@@ -36,3 +39,20 @@ def test_one_transitivity_walk_and_one_tf_index():
     assert [n for n in names if "transitive" in n or "reach" in n] == \
         ["modk3.hypermap._reach_count"]
     assert [n for n in names if "tf_index" in n] == ["modk3.lifts.tf_index"]
+
+
+def test_no_assert_statements():
+    # invariants raise typed errors, so python -O cannot change a result
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(modk3.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_every_error_has_one_base():
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)]
+    assert len(classes) == 10
+    assert all(issubclass(cls, errors.Modk3Error) for cls in classes)
+    assert cli._ERRORS == (errors.Modk3Error, OSError, ValueError)
