@@ -2,8 +2,9 @@
 
 One JSON object per line, fields in a fixed order, values all derivable
 from the canonical code -- the rest of the record is denormalized for
-grep-ability, and every read rebuilds it from the code and compares.  IDs
-are human-facing: cusp-width partition plus a letter counting classes
+grep-ability.  Every command reads through read_records, which rebuilds
+each record from its code, stored lift counts included, and compares.
+IDs are human-facing: cusp-width partition plus a letter counting classes
 with that partition in canonical-code order ("4,1,1-A").
 """
 
@@ -16,7 +17,7 @@ from .hypermap import (
     automorphism_group, canonical_code, cusp_widths, cycles, from_code,
     loop_count, subgroup_type, validate,
 )
-from .lifts import lift_pair, lift_profile, tf_index, totals
+from .lifts import lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
 
 FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
@@ -125,11 +126,12 @@ def _parse_record(obj, lineno):
 
 def validate_record(rec):
     """Rebuild the record from its canonical code and compare every field
-    from canonical_code to assignment with the stored one.
+    but id with the stored one.
 
     The stored code must therefore be the canonical lower-case hex code of
-    a dessin: a relabelled or upper-case copy is refused.  Lift counts are
-    only range-checked here; verify_records re-derives them.
+    a dessin: a relabelled or upper-case copy is refused.  A record that
+    stores any lift count must store the pair the lift rules give, so
+    counts on a class outside the K3 range are refused too.
     """
     def bad(msg):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
@@ -139,24 +141,26 @@ def validate_record(rec):
             validate(from_code(bytes.fromhex(rec.canonical_code))))
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
-    for name in FIELDS[1:12]:
+    if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
+        try:
+            want.lift_one_to_one, want.lift_two_to_one, _ = lift_profile(want)
+        except Modk3Error as exc:
+            bad(f"stores lift counts, but the lift rules give none ({exc})")
+    for name in FIELDS[1:]:
         got, derived = getattr(rec, name), getattr(want, name)
         if got != derived:
             bad(f"{name} is {got!r}, the code gives {derived!r}")
-    for name in ("lift_one_to_one", "lift_two_to_one"):
-        v = getattr(rec, name)
-        if v is not None and v < 0:
-            bad(f"{name} is negative")
-    if rec.lift_two_to_one is not None and rec.lift_two_to_one > 1:
-        bad("lift_two_to_one exceeds 1 (the full preimage is unique)")
     return rec
 
 
-def _parse_file(path):
-    """Yield (line number, record) per non-blank line, parsed, not validated.
+def read_records(path):
+    """Parse and validate a JSONL catalog, the one read path of every command.
 
-    A canonical code already seen on an earlier line is a ParseError.
+    Blank lines are skipped.  An unknown field or a canonical code already
+    seen on an earlier line is a ParseError; a record that validate_record
+    refuses is a ValidationError; both name the line.
     """
+    records = []
     first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -170,18 +174,11 @@ def _parse_file(path):
             first = first_line.setdefault(rec.canonical_code, lineno)
             if first != lineno:
                 raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
-            yield lineno, rec
-
-
-def read_records(path):
-    """Parse and validate a JSONL catalog; unknown fields are a ParseError."""
-    records = []
-    for lineno, rec in _parse_file(path):
-        try:
-            validate_record(rec)
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}")
-        records.append(rec)
+            try:
+                validate_record(rec)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}")
+            records.append(rec)
     return records
 
 
@@ -294,11 +291,12 @@ def report_k6(records):
     rows = [r for r in records if tf_index(r) == 6]
     rows.sort(key=lambda r: r.canonical_code)
     lines = ["id       type (n;g,h,e2,e3)   widths   1:1  2:1"]
+    total = 0
     for r in rows:
-        one, two = lift_pair(r)
+        one, two, _ = lift_profile(r)
+        total += one + two
         t = f"({r.index};{r.genus},{r.h},{r.e2},{r.e3})"
         lines.append(f"{r.id:8s} {t:20s} {_partition(r):8s} {one:3d}  {two:3d}")
-    total = sum(sum(lift_pair(r)) for r in rows)
     lines.append(f"classes {len(rows)}  lifts {total}")
     return lines
 
@@ -312,8 +310,8 @@ def report_k12(records):
         e2pos = sum(1 for r in group if r.e2 > 0)
         e3c = {k: sum(1 for r in group if r.e2 == 0 and r.e3 == k)
                for k in (1, 2, 3)}
-        one = sum(lift_pair(r)[0] for r in group)
-        two = sum(lift_pair(r)[1] for r in group)
+        one = sum(lift_profile(r).one_to_one for r in group)
+        two = sum(lift_profile(r).two_to_one for r in group)
         col = [c + v for c, v in
                zip(col, (e2pos, e3c[1], e3c[2], e3c[3], one, two))]
         lines.append(f"{_partition(tf):10s} {tf.aut_order:3d} {tf.loop_count:5d}"
@@ -415,6 +413,9 @@ def export_dot(records, rec_id):
     matches = [r for r in records if r.id == rec_id]
     if not matches:
         raise ValidationError(f"no record with id {rec_id!r}")
+    if len(matches) > 1:
+        raise ValidationError(f"id {rec_id} names {len(matches)} records, "
+                              f"so it does not pick one")
     rec = matches[0]
     h = from_code(bytes.fromhex(rec.canonical_code))
     width_of = {}
@@ -443,8 +444,9 @@ def export_dot(records, rec_id):
 # -------------------------------------------------------------- deep verify
 
 def verify_records(records, samples=1000):
-    """Re-derive every record, stored lift counts included, and run the
-    matrix-level spot checks.
+    """Cross-check records as read_records returns them (each already
+    rebuilt from its code, lift counts included) against their coset
+    action, then round-trip random matrices through their S/T words.
 
     Raises ValidationError on the first failure; returns a summary line.
     """
@@ -454,16 +456,7 @@ def verify_records(records, samples=1000):
     from .slwords import coset_action, eval_word, random_sl2, word_of_matrix
 
     for rec in records:
-        validate_record(rec)
         h = from_code(bytes.fromhex(rec.canonical_code))
-        if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
-            p = lift_profile(rec)
-            for name, want in (("lift_one_to_one", p.one_to_one),
-                               ("lift_two_to_one", p.two_to_one)):
-                got = getattr(rec, name)
-                if got is not None and got != want:
-                    raise ValidationError(f"record {rec.id}: {name} is {got}, "
-                                          f"the lift rules give {want}")
         perm_s, perm_t = coset_action(h)
         e2 = sum(1 for e in range(h.n) if perm_s[e] == e)
         e3 = sum(1 for e in range(h.n) if h.sigma[e] == e)

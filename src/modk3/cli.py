@@ -57,8 +57,7 @@ def cmd_export_dot(args):
 
 
 def cmd_verify(args):
-    # verify_records validates every record itself; parse without a first pass
-    records = [rec for _, rec in catalog._parse_file(args.infile)]
+    records = catalog.read_records(args.infile)
     print(catalog.verify_records(records, samples=args.samples))
     return 0
 

@@ -96,17 +96,6 @@ def lift_profile(rec):
     return LiftProfile(1 if rec.e3 == 1 else 0, 1)       # k == 3
 
 
-def lift_pair(rec):
-    """(1:1 count, 2:1 count) of one record: the stored counts when both
-    are present, else the lift rules."""
-    one = getattr(rec, "lift_one_to_one", None)
-    two = getattr(rec, "lift_two_to_one", None)
-    if one is None or two is None:
-        profile = lift_profile(rec)
-        return profile.one_to_one, profile.two_to_one
-    return one, two
-
-
 def _tf_expansion_counts(n):
     """{tf code hex: number of classes over it} for torsion-free index n."""
     counts = {}
@@ -155,7 +144,7 @@ def totals(catalog):
     bijective = multi_classes = multi_lifts = 0
     for rec in catalog:
         n = tf_index(rec)
-        count = sum(lift_pair(rec))
+        count = sum(lift_profile(rec)[:2])
         classes_by_index[n] = classes_by_index.get(n, 0) + 1
         lifts_by_index[n] = lifts_by_index.get(n, 0) + count
         if count == 1:

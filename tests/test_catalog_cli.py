@@ -152,16 +152,33 @@ def test_validation_failures(tmp_path):
     except ValidationError as exc:
         assert "assignment" in str(exc)
 
-    # two_to_one is a yes/no count
-    obj = json.loads(catalog.record_to_json(recs[0]))
-    obj["lift_two_to_one"] = 2
-    path.write_text(json.dumps(obj, separators=(",", ":")) + "\n",
-                    encoding="utf-8")
-    try:
-        catalog.read_records(path)
-        assert False
-    except ValidationError:
-        pass
+    # stored lift counts must be the ones the lift rules give
+    for name, value in (("lift_two_to_one", 2), ("lift_one_to_one", -1)):
+        obj = json.loads(catalog.record_to_json(recs[0]))
+        obj[name] = value
+        path.write_text(json.dumps(obj, separators=(",", ":")) + "\n",
+                        encoding="utf-8")
+        try:
+            catalog.read_records(path)
+            assert False, f"{name} = {value} was accepted"
+        except ValidationError as exc:
+            assert "line 1" in str(exc) and name in str(exc)
+
+
+def test_lift_counts_outside_the_k3_range_are_refused(tmp_path):
+    # genus-1 classes are never K3 monodromy groups, so no lift count fits
+    path = tmp_path / "tf12.jsonl"
+    assert cli.main(["enumerate", "--index", "12", "--torsion-free",
+                     "--out", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["genus"] == 1)
+    obj = json.loads(lines[i])
+    obj["lift_one_to_one"], obj["lift_two_to_one"] = 0, 1
+    lines[i] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, err = run_cli(["report", "--in", str(path), "--table", "tf-counts"])
+    assert status == 1 and ERROR_LINE.fullmatch(err), err
+    assert err.startswith(f"error: ValidationError: line {i + 1}: ")
 
 
 def test_validation_refuses_a_tf_index_past_one_byte():
@@ -245,13 +262,19 @@ def test_reports_read_the_records(tmp_path, capsys):
     assert cli.main(["report", "--in", str(path), "--table", "k6"]) == 0
     before = capsys.readouterr().out
     lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--in", str(path), "--table", "k6"]) == 0
+    assert capsys.readouterr().out != before
+    # a stored lift count that the lift rules do not give is refused
     obj = json.loads(lines[0])
     obj["lift_one_to_one"] += 4
     lines[0] = json.dumps(obj, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert cli.main(["report", "--in", str(path), "--table", "k6"]) == 0
-    after = capsys.readouterr().out
-    assert before != after
+    assert cli.main(["report", "--in", str(path), "--table", "k6"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: ValidationError: line 1: ")
+    assert "lift_one_to_one" in err[0]
 
 
 def test_cli_usage_errors(tmp_path):
@@ -289,6 +312,16 @@ def test_export_dot(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValidationError")
 
 
+def test_export_dot_refuses_a_repeated_id(tmp_path, full_catalog):
+    # the concatenated strata repeat some ids; 6-A is at index 12 and 18
+    path = tmp_path / "full.jsonl"
+    catalog.write_records(path, full_catalog())
+    status, err = run_cli(["export-dot", "--in", str(path), "--id", "6-A"])
+    assert (status, err) == (1, "error: ValidationError: id 6-A names 2 "
+                                "records, so it does not pick one\n")
+    assert run_cli(["export-dot", "--in", str(path), "--id", "4,1,1-A"]) == (0, "")
+
+
 def test_export_dot_loops_label_width_one():
     recs = k6_records()
     dot = catalog.export_dot(recs, "4,1,1-A")
@@ -308,16 +341,6 @@ def test_enumerate_is_deterministic(tmp_path):
     assert cli.main(["expand", "--in", str(a), "--out", str(ka)]) == 0
     assert cli.main(["expand", "--in", str(b), "--out", str(kb)]) == 0
     assert ka.read_bytes() == kb.read_bytes()
-
-
-def test_verify_catches_a_lie(tmp_path):
-    recs = k6_records()
-    recs[0].lift_one_to_one = -1
-    try:
-        catalog.verify_records(recs, samples=1)
-        assert False
-    except ValidationError:
-        pass
 
 
 def test_verify_cli_reports_counts(tmp_path, capsys):
@@ -401,9 +424,14 @@ def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
     upper["canonical_code"] = upper["canonical_code"].upper()
     empty = json.loads(lines[0])
     empty["canonical_code"] = "00"
+    j = next(j for j, line in enumerate(lines) if '"id":"8-D"' in line)
+    lie = json.loads(lines[j])
+    lie["lift_one_to_one"] += 3
     cases = [("k6", relabelled_swap(k6_records()), "canonical_code"),
              ("totals", relabelled_swap(full_catalog()), "canonical_code"),
              ("k6", [json.dumps(empty)] + lines[1:], "at least one edge"),
+             ("totals", lines[:j] + [json.dumps(lie)] + lines[j + 1:],
+              f"line {j + 1}: record 8-D: lift_one_to_one"),
              ("k6", lines[:i] + [json.dumps(upper)] + lines[i + 1:],
               "canonical_code")]
     for table, tampered, word in cases:
@@ -413,7 +441,8 @@ def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
     # the upper-case code is still in the file
     status, err = run_cli(["verify", "--in", str(path), "--samples", "5"])
     assert status == 1 and len(err.splitlines()) == 1
-    assert err.startswith("error: ValidationError: ") and upper["id"] in err
+    assert err.startswith(f"error: ValidationError: line {i + 1}: ")
+    assert upper["id"] in err
 
 
 def json_values(examples):

@@ -1,5 +1,5 @@
 """Package layout guards: no per-process memo, one copy of each shared
-helper, no assert statement, one error base class."""
+helper, no assert statement, one error base class, one catalog read path."""
 
 import ast
 import importlib
@@ -56,3 +56,13 @@ def test_every_error_has_one_base():
     assert len(classes) == 10
     assert all(issubclass(cls, errors.Modk3Error) for cls in classes)
     assert cli._ERRORS == (errors.Modk3Error, OSError, ValueError)
+
+
+def test_cli_uses_only_public_catalog_names():
+    # a private catalog helper in the CLI is how a second read path starts
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "catalog"
+               and node.attr.startswith("_")]
+    assert private == []

@@ -8,7 +8,7 @@ from modk3.errors import (
 from modk3.generate import EnumerationConstraints, enumerate_classes
 from modk3.hypermap import canonical_code, cusp_widths, subgroup_type
 from modk3.lifts import (
-    face_orbit_count, lift_pair, lift_profile, star_orbit_count, totals,
+    face_orbit_count, lift_profile, star_orbit_count, totals,
 )
 from modk3.torsion import expand_classes
 
@@ -97,7 +97,7 @@ def test_k2_e3_one_face_orbits():
 def test_stratum_six():
     recs = stratum(6)
     assert len(recs) == 6
-    assert sum(sum(lift_pair(r)) for r in recs) == 14
+    assert sum(sum(lift_profile(r)[:2]) for r in recs) == 14
     profiles = sorted(lift_profile(r)[:2] for r in recs)
     assert profiles == [(0, 1), (0, 1), (1, 1), (2, 1), (2, 1), (3, 1)]
 
@@ -105,7 +105,7 @@ def test_stratum_six():
 def test_stratum_twelve():
     recs = stratum(12)
     assert len(recs) == 28
-    assert sum(sum(lift_pair(r)) for r in recs) == 69
+    assert sum(sum(lift_profile(r)[:2]) for r in recs) == 69
     assert sum(lift_profile(r).one_to_one for r in recs) == 41
     assert sum(lift_profile(r).two_to_one for r in recs) == 28
 
