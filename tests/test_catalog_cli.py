@@ -343,6 +343,21 @@ def test_enumerate_is_deterministic(tmp_path):
     assert ka.read_bytes() == kb.read_bytes()
 
 
+def test_verify_catches_a_lie(tmp_path, capsys):
+    recs = k6_records()
+    recs[0].lift_one_to_one = -1
+    path = tmp_path / "k6.jsonl"
+    catalog.write_records(path, recs)
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path), "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ValidationError: line 1: "), lines
+    assert "lift_one_to_one is -1" in lines[0], lines
+
+
 def test_verify_cli_reports_counts(tmp_path, capsys):
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())
