@@ -11,11 +11,13 @@ with that partition in canonical-code order ("4,1,1-A").
 import json
 from dataclasses import dataclass
 
-from .errors import IncompleteCatalog, Modk3Error, ParseError, ValidationError
+from .errors import (
+    DomainError, IncompleteCatalog, Modk3Error, ParseError, ValidationError,
+)
 from .generate import EnumerationConstraints, enumerate_classes
 from .hypermap import (
-    automorphism_group, canonical_code, cusp_widths, cycles, from_code,
-    loop_count, subgroup_type, validate,
+    automorphism_group, canonical_code, canonical_form, cusp_widths, cycles,
+    from_code, loop_count, subgroup_type, validate,
 )
 from .lifts import lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
@@ -44,16 +46,23 @@ class DessinRecord:
 
 
 def record_from_hypermap(h, tf_code=None):
-    """Build an (id-less) record; tf_code is computed unless supplied."""
+    """Build an (id-less) record; tf_code is computed unless supplied.
+
+    The code and aut_order come from one canonical walk (canonical_form).
+    A torsion-free dessin is its own retraction, so its tf_code is its own
+    code; only a torsion dessin is retracted and walked a second time.
+    """
     t = subgroup_type(h)
+    code, aut_order = canonical_form(h)
     if tf_code is None:
-        tf_code = canonical_code(tf_retract(h)).hex()
+        tf_code = (code if t.e2 == t.e3 == 0
+                   else canonical_code(tf_retract(h))).hex()
     return DessinRecord(
         id=None,
-        canonical_code=canonical_code(h).hex(),
+        canonical_code=code.hex(),
         index=t.n, genus=t.g, h=t.h, e2=t.e2, e3=t.e3,
         cusp_widths=list(cusp_widths(h)),
-        aut_order=automorphism_group(h).order,
+        aut_order=aut_order,
         loop_count=loop_count(h),
         tf_code=tf_code,
         assignment={"white": t.e3, "black": t.e2})
@@ -448,8 +457,12 @@ def verify_records(records, samples=1000):
     rebuilt from its code, lift counts included) against their coset
     action, then round-trip random matrices through their S/T words.
 
-    Raises ValidationError on the first failure; returns a summary line.
+    Raises ValidationError on the first failure, and DomainError on a
+    negative sample count; returns a summary line.
     """
+    if samples < 0:
+        raise DomainError(f"samples must be at least 0, got {samples}")
+
     import random
 
     from .hypermap import cycle_type

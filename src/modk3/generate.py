@@ -120,7 +120,8 @@ def _classes_at(n, genus_filter, torsion_free):
         leaves += 1
         code = _root_code(sigma, alpha, 0, None)
         for root in range(1, n):
-            if _root_code(sigma, alpha, root, code) is not None:
+            other = _root_code(sigma, alpha, root, code)
+            if other is not None and other is not code:   # smaller, not a tie
                 return
         codes.append(code)
 
@@ -129,7 +130,10 @@ def _classes_at(n, genus_filter, torsion_free):
     return codes, leaves
 
 
-def _check_index(n):
+def _check_constraints(c):
+    """Refuse, before any search, an index outside 1..MAX_INDEX or a
+    negative genus."""
+    n = c.index
     if n is None:
         raise ValueError("set an index")
     if n < 1:
@@ -137,16 +141,18 @@ def _check_index(n):
     if n > MAX_INDEX:
         raise ResourceBound(f"index {n} exceeds {MAX_INDEX}, the largest "
                             f"a canonical code can store")
+    if c.genus_filter is not None and c.genus_filter < 0:
+        raise DomainError(f"genus must be at least 0, got {c.genus_filter}")
 
 
 def enumerate_classes(constraints):
     """All conjugacy classes meeting the constraints, as sorted Hypermaps.
 
-    The index must be set; indices outside 1..MAX_INDEX are refused before
-    any search.
+    The index must be set; indices outside 1..MAX_INDEX and a negative
+    genus are refused before any search.
     """
     c = constraints
-    _check_index(c.index)
+    _check_constraints(c)
     if c.torsion_free and c.index % 6 != 0:
         return []
     codes, _ = _classes_at(c.index, c.genus_filter, c.torsion_free)
@@ -170,7 +176,7 @@ def search_leaf_count(constraints):
     tally double-checks the search against the automorphism bookkeeping.
     """
     c = constraints
-    _check_index(c.index)
+    _check_constraints(c)
     if c.torsion_free and c.index % 6 != 0:
         return 0
     _, leaves = _classes_at(c.index, c.genus_filter, c.torsion_free)

@@ -175,14 +175,15 @@ def loop_count(h):
 # ------------------------------------------------------------ canonical code
 
 def _root_code(sigma, alpha, root, best):
-    """Code of the relabeling from root, or None once it cannot beat best.
+    """Code of the relabeling from root, compared with best.
 
     Edges are relabeled by breadth-first discovery (sigma image first, then
     alpha image), and the code is bytes([n]) + sigma bytes + alpha bytes in
     the new labels.  Sigma byte i is known as soon as the i-th edge is
     dequeued, so the walk stops at the first sigma byte above best's; the
-    alpha bytes only matter when the sigma part ties.  best=None always
-    yields the code.  Returns None on a tie too: it is no improvement.
+    alpha bytes only matter when the sigma part ties.  Returns None when the
+    code loses to best, best itself when it ties, and the new code when it
+    is smaller; best=None always yields the code.
     """
     n = len(sigma)
     new = [-1] * n                           # old label -> new label
@@ -210,19 +211,25 @@ def _root_code(sigma, alpha, root, best):
             order.append(f)
         sig[i] = s
         alp[i] = a
-    if tied and bytes(alp) >= best[1 + n:]:
-        return None
+    if tied:
+        tail, best_tail = bytes(alp), best[1 + n:]
+        if tail > best_tail:
+            return None
+        if tail == best_tail:
+            return best
     return bytes([n, *sig, *alp])
 
 
-def canonical_code(h):
-    """Relabel-invariant byte code; two hypermaps are isomorphic iff equal.
+def canonical_form(h):
+    """(canonical code, |Aut|) of a dessin from one walk over its roots.
 
-    The lexicographic minimum over all n roots of the breadth-first
-    relabeling code of _root_code: bytes([n]) + sigma images + alpha
-    images.  A root is abandoned at the first byte that loses to the best
-    code so far.  Raises NotTransitive (or OrderViolation) on a pair that
-    is not a dessin.
+    The code is the lexicographic minimum over all n roots of the
+    breadth-first relabeling code of _root_code: bytes([n]) + sigma images
+    + alpha images.  A root is abandoned at the first byte that loses to
+    the best code so far.  Two roots give the same code iff an automorphism
+    maps one to the other, and Aut acts freely on the edges of a transitive
+    pair, so the roots that tie the minimum number |Aut|.  Raises
+    NotTransitive (or OrderViolation) on a pair that is not a dessin.
     """
     sigma, alpha = h.sigma, h.alpha
     try:
@@ -232,11 +239,22 @@ def canonical_code(h):
         # validate names the typed error
         validate(h)
         raise
+    ties = 1
     for root in range(1, h.n):
         code = _root_code(sigma, alpha, root, best)
-        if code is not None:
-            best = code
-    return best
+        if code is best:
+            ties += 1
+        elif code is not None:
+            best, ties = code, 1
+    return best, ties
+
+
+def canonical_code(h):
+    """Relabel-invariant byte code; two hypermaps are isomorphic iff equal.
+
+    The first element of canonical_form(h).
+    """
+    return canonical_form(h)[0]
 
 
 def from_code(code):

@@ -6,6 +6,7 @@ counts and cusp data when matrices are pushed through it.
 """
 
 from collections import namedtuple
+from itertools import groupby
 
 from .hypermap import compose, identity_perm, inverse
 
@@ -41,14 +42,24 @@ S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
 T_INV = T.inv()
 
-_LETTER = {"S": S, "T": T, "T^-1": T_INV}
+_T_STEP = {"T": 1, "T^-1": -1}
 
 
 def eval_word(word):
-    """Left-to-right product of the letters' matrices."""
+    """Left-to-right product of the letters' matrices.
+
+    A run of k equal T or T^-1 letters is multiplied in as the one matrix
+    T^(+-k) = Mat2(1, +-k, 0, 1), so the cost follows the number of runs,
+    not the word's length; S letters are multiplied one at a time.
+    """
     m = I2
-    for letter in word:
-        m = m * _LETTER[letter]
+    for letter, run in groupby(word):
+        k = sum(1 for _ in run)
+        if letter == "S":
+            for _ in range(k):
+                m = m * S
+        else:
+            m = m * Mat2(1, _T_STEP[letter] * k, 0, 1)
     return m
 
 

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from modk3 import catalog, cli
+from modk3 import catalog, cli, hypermap
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
 from modk3.generate import EnumerationConstraints
 from modk3.hypermap import (
@@ -151,6 +151,25 @@ def test_validation_failures(tmp_path):
         assert False
     except ValidationError as exc:
         assert "assignment" in str(exc)
+
+    # a torsion-free record is its own retraction: another tf class's code
+    # in its tf_code is refused although the tf index still fits
+    tf = [r for r in recs if r.e2 == r.e3 == 0]
+    tf_obj = json.loads(catalog.record_to_json(tf[0]))
+    tf_obj["tf_code"] = tf[1].canonical_code
+    # a symmetric record claiming another divisor of n as its |Aut|
+    sym = next(r for r in recs if r.aut_order > 1)
+    sym_obj = json.loads(catalog.record_to_json(sym))
+    sym_obj["aut_order"] = next(d for d in range(1, sym.index + 1)
+                                if sym.index % d == 0 and d != sym.aut_order)
+    for obj, name in ((tf_obj, "tf_code"), (sym_obj, "aut_order")):
+        path.write_text(json.dumps(obj, separators=(",", ":")) + "\n",
+                        encoding="utf-8")
+        try:
+            catalog.read_records(path)
+            assert False, f"a tampered {name} was accepted"
+        except ValidationError as exc:
+            assert "line 1" in str(exc) and name in str(exc)
 
     # stored lift counts must be the ones the lift rules give
     for name, value in (("lift_two_to_one", 2), ("lift_one_to_one", -1)):
@@ -365,6 +384,35 @@ def test_verify_cli_reports_counts(tmp_path, capsys):
     assert cli.main(["verify", "--in", str(path), "--samples", "50"]) == 0
     out = capsys.readouterr().out
     assert "6 records" in out and "50 matrix samples" in out
+
+
+def test_read_and_build_need_no_automorphism_group(tmp_path, monkeypatch):
+    # aut_order comes from the canonical walk, so neither the read path
+    # nor the record build calls automorphism_group
+    path = tmp_path / "k6_lifts.jsonl"
+    catalog.write_records(path, k6_records())
+
+    def boom(h):
+        raise AssertionError("automorphism_group was called")
+
+    monkeypatch.setattr(hypermap, "automorphism_group", boom)
+    monkeypatch.setattr(catalog, "automorphism_group", boom)
+    assert len(catalog.read_records(path)) == 6
+    assert len(catalog.enumerate_records(EnumerationConstraints(index=12))) == 80
+
+
+def test_cli_verify_refuses_negative_samples(tmp_path):
+    path = tmp_path / "k6.jsonl"
+    catalog.write_records(path, k6_records())
+    status, err = run_cli(["verify", "--in", str(path), "--samples", "-5"])
+    assert status == 1
+    assert re.fullmatch(r"error: DomainError: .*\n", err), err
+
+
+def test_cli_enumerate_refuses_negative_genus():
+    status, err = run_cli(["enumerate", "--index", "6", "--genus", "-1"])
+    assert status == 1
+    assert re.fullmatch(r"error: DomainError: .*genus.*\n", err), err
 
 
 def test_cli_enumerate_rejects_out_of_range_index(capsys):

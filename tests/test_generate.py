@@ -1,5 +1,6 @@
 """Search vs. oracle, known small counts, constraint handling."""
 
+from modk3 import generate
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import (
     EnumerationConstraints, _classes_at, brute_force_oracle,
@@ -138,3 +139,18 @@ def test_index_bounds():
                 assert False, f"{fn.__name__} accepted index={n}"
             except err:
                 pass
+
+
+def test_negative_genus_is_refused_before_any_search(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(generate, "_search", boom)
+    for kw in ({"index": 6}, {"index": 6, "torsion_free": True},
+               {"index": 8, "torsion_free": True}):
+        for fn in (enumerate_classes, search_leaf_count):
+            try:
+                fn(EnumerationConstraints(genus_filter=-1, **kw))
+                assert False, f"{fn.__name__} accepted genus -1 with {kw}"
+            except DomainError as exc:
+                assert "genus" in str(exc)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
-    Hypermap, automorphism_group, canonical_code, compose, cusp_widths,
-    cycle_type, cycles, fixed_points, from_code, identity_perm, inverse,
-    loop_count, perm_from_cycles, relabel, subgroup_type, validate,
+    Hypermap, automorphism_group, canonical_code, canonical_form, compose,
+    cusp_widths, cycle_type, cycles, fixed_points, from_code, identity_perm,
+    inverse, loop_count, perm_from_cycles, relabel, subgroup_type, validate,
     white_vertex_types,
 )
 
@@ -294,6 +294,8 @@ def transitive_hypermaps(draw, max_n=16):
 @given(transitive_hypermaps(), st.data())
 def test_canonical_code_matches_reference(h, data):
     want = reference_code(h)
-    assert canonical_code(h) == want
     p = data.draw(st.permutations(range(h.n)))
-    assert canonical_code(relabel(h, tuple(p))) == want
+    for g in (h, relabel(h, tuple(p))):
+        assert canonical_code(g) == want
+        # the roots that tie the minimal code are one free Aut-orbit
+        assert canonical_form(g) == (want, automorphism_group(g).order)

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from modk3.generate import EnumerationConstraints, enumerate_classes
 from modk3.hypermap import (
     Hypermap, compose, cusp_widths, cycle_type, identity_perm,
@@ -36,6 +38,23 @@ def test_eval_word():
     assert eval_word(["S", "S"]) == -I2
     assert eval_word(["S", "T", "S", "T", "S", "T"]) == -I2   # (ST)^3
     assert eval_word(["T", "T", "T^-1"]) == T
+
+
+def letter_product(word):
+    """eval_word's definition, one matrix product per letter."""
+    m = I2
+    for letter in word:
+        m = m * {"S": S, "T": T, "T^-1": T_INV}[letter]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["S", "T", "T^-1"]),
+                          st.integers(1, 40)), max_size=12))
+def test_eval_word_equals_the_letter_product(runs):
+    # runs of equal letters, long T^q runs and S S among them
+    word = [letter for letter, k in runs for _ in range(k)]
+    assert eval_word(word) == letter_product(word)
 
 
 def test_word_of_matrix_examples():
