@@ -16,8 +16,8 @@ from .errors import (
 )
 from .generate import EnumerationConstraints, enumerate_classes
 from .hypermap import (
-    automorphism_group, canonical_code, canonical_form, cusp_widths, cycles,
-    from_code, loop_count, subgroup_type, validate,
+    _face_widths, _type_with_faces, automorphism_group, canonical_code,
+    canonical_form, cycles, from_code, validate,
 )
 from .lifts import lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
@@ -48,11 +48,13 @@ class DessinRecord:
 def record_from_hypermap(h, tf_code=None):
     """Build an (id-less) record; tf_code is computed unless supplied.
 
-    The code and aut_order come from one canonical walk (canonical_form).
-    A torsion-free dessin is its own retraction, so its tf_code is its own
+    The code and aut_order come from one canonical walk (canonical_form),
+    and the type, cusp widths and loop count from one face walk.  A
+    torsion-free dessin is its own retraction, so its tf_code is its own
     code; only a torsion dessin is retracted and walked a second time.
     """
-    t = subgroup_type(h)
+    widths = _face_widths(h)
+    t = _type_with_faces(h, len(widths))
     code, aut_order = canonical_form(h)
     if tf_code is None:
         tf_code = (code if t.e2 == t.e3 == 0
@@ -61,9 +63,9 @@ def record_from_hypermap(h, tf_code=None):
         id=None,
         canonical_code=code.hex(),
         index=t.n, genus=t.g, h=t.h, e2=t.e2, e3=t.e3,
-        cusp_widths=list(cusp_widths(h)),
+        cusp_widths=sorted(widths, reverse=True),
         aut_order=aut_order,
-        loop_count=loop_count(h),
+        loop_count=widths.count(1),
         tf_code=tf_code,
         assignment={"white": t.e3, "black": t.e2})
 
@@ -165,9 +167,11 @@ def validate_record(rec):
 def read_records(path):
     """Parse and validate a JSONL catalog, the one read path of every command.
 
-    Blank lines are skipped.  An unknown field or a canonical code already
-    seen on an earlier line is a ParseError; a record that validate_record
-    refuses is a ValidationError; both name the line.
+    Blank lines are skipped.  A line that is not JSON (too deeply nested
+    or holding an integer past the digit limit included), an unknown field
+    or a canonical code already seen on an earlier line is a ParseError; a
+    record that validate_record refuses is a ValidationError; both name
+    the line.
     """
     records = []
     first_line = {}
@@ -177,8 +181,11 @@ def read_records(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})")
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError is a ValueError, and so is an integer
+                # past the interpreter's digit limit; deep nesting recurses
+                raise ParseError(f"line {lineno}: invalid JSON "
+                                 f"({getattr(exc, 'msg', exc)})")
             rec = _parse_record(obj, lineno)
             first = first_line.setdefault(rec.canonical_code, lineno)
             if first != lineno:

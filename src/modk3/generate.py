@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    Hypermap, _reach_count, _root_code, automorphism_group, canonical_code,
-    from_code, subgroup_type,
+    Hypermap, _candidate_roots, _reach_count, _root_code, automorphism_group,
+    canonical_code, from_code, subgroup_type,
 )
 
 ORACLE_MAX = 12
 MAX_INDEX = 255        # the canonical code stores the index in one byte
+MAX_LEAVES = 10 ** 6   # search leaves allowed in one enumeration
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,11 @@ def _classes_at(n, genus_filter, torsion_free):
     A leaf is kept only if its root 0 already gives the canonical code: no
     other root may give a smaller one.  The roots with the minimal code form
     one Aut-orbit, and the search reaches each class once per root orbit,
-    so every class is kept exactly once.  The tally counts the leaves that
-    pass the genus filter, before the canonicity test.
+    so every class is kept exactly once.  Only the roots of _candidate_roots
+    can reach the minimum: a leaf whose root 0 is not among them is dropped
+    without a walk, and root 0 is compared with the other candidates only.
+    The tally counts the leaves that pass the genus filter, before the
+    canonicity test.
     """
     codes = []
     leaves = 0
@@ -118,8 +122,11 @@ def _classes_at(n, genus_filter, torsion_free):
                 and subgroup_type(Hypermap(sigma, alpha)).g != genus_filter):
             return
         leaves += 1
+        roots = _candidate_roots(sigma, alpha)
+        if roots[0] != 0:
+            return
         code = _root_code(sigma, alpha, 0, None)
-        for root in range(1, n):
+        for root in roots[1:]:
             other = _root_code(sigma, alpha, root, code)
             if other is not None and other is not code:   # smaller, not a tie
                 return
@@ -131,8 +138,14 @@ def _classes_at(n, genus_filter, torsion_free):
 
 
 def _check_constraints(c):
-    """Refuse, before any search, an index outside 1..MAX_INDEX or a
-    negative genus."""
+    """Refuse, before any search, an index outside 1..MAX_INDEX, a negative
+    genus, or a search of more than MAX_LEAVES leaves.
+
+    The search emits one leaf per subgroup of the index, torsion-free ones
+    only if asked, whatever the genus filter; Hall's recursion
+    (counts.subgroup_counts) predicts that number exactly, so the work cap
+    is known before the first node.
+    """
     n = c.index
     if n is None:
         raise ValueError("set an index")
@@ -143,13 +156,20 @@ def _check_constraints(c):
                             f"a canonical code can store")
     if c.genus_filter is not None and c.genus_filter < 0:
         raise DomainError(f"genus must be at least 0, got {c.genus_filter}")
+    from .counts import subgroup_counts   # off the import path of the CLI
+    leaves = subgroup_counts(n, c.torsion_free)[-1]
+    if leaves > MAX_LEAVES:
+        kind = "torsion-free subgroups" if c.torsion_free else "subgroups"
+        raise ResourceBound(f"index {n} has {leaves} {kind}, one search leaf "
+                            f"each, over the bound of {MAX_LEAVES} leaves")
 
 
 def enumerate_classes(constraints):
     """All conjugacy classes meeting the constraints, as sorted Hypermaps.
 
-    The index must be set; indices outside 1..MAX_INDEX and a negative
-    genus are refused before any search.
+    The index must be set; indices outside 1..MAX_INDEX, a negative genus
+    and a search of more than MAX_LEAVES leaves are refused before any
+    search.
     """
     c = constraints
     _check_constraints(c)

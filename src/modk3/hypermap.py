@@ -91,9 +91,6 @@ class Hypermap:
         """Face permutation phi(e) = sigma(alpha(e))."""
         return tuple(self.sigma[self.alpha[e]] for e in range(self.n))
 
-    def faces(self):
-        return cycles(self.phi())
-
     def __eq__(self, other):
         return (isinstance(other, Hypermap)
                 and self.sigma == other.sigma and self.alpha == other.alpha)
@@ -145,31 +142,55 @@ def _reach_count(sigma, alpha):
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
 
 
-def subgroup_type(h):
-    """Type (n; g, h, e2, e3) of the subgroup matching h.
+def _face_widths(h):
+    """Lengths of the cycles of phi = sigma*alpha, in the order of their
+    smallest edges, from one walk that marks each edge in a bytearray."""
+    sigma, alpha = h.sigma, h.alpha
+    seen = bytearray(h.n)
+    widths = []
+    for start in range(h.n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        e = sigma[alpha[start]]
+        w = 1
+        while e != start:
+            seen[e] = 1
+            w += 1
+            e = sigma[alpha[e]]
+        widths.append(w)
+    return widths
 
-    e2/e3 count alpha/sigma fixed points, h counts faces, and the genus
-    comes out of Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.
-    """
+
+def _type_with_faces(h, faces):
+    """SubgroupType of h once its number of faces is known."""
     n = h.n
     e2 = len(fixed_points(h.alpha))
     e3 = len(fixed_points(h.sigma))
-    faces = len(h.faces())
     g, rest = divmod(12 + n - 3 * e2 - 4 * e3 - 6 * faces, 12)
     if rest or g < 0:
         raise DomainError(f"Riemann-Hurwitz broke: 12g = {12 * g + rest}")
     return SubgroupType(n, g, faces, e2, e3)
 
 
+def subgroup_type(h):
+    """Type (n; g, h, e2, e3) of the subgroup matching h.
+
+    e2/e3 count alpha/sigma fixed points, h counts faces (one walk of
+    _face_widths, no phi or cycle tuples), and the genus comes out of
+    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.
+    """
+    return _type_with_faces(h, len(_face_widths(h)))
+
+
 def cusp_widths(h):
     """Descending cycle lengths of the face permutation; they sum to n."""
-    return tuple(sorted((len(f) for f in h.faces()), reverse=True))
+    return tuple(sorted(_face_widths(h), reverse=True))
 
 
 def loop_count(h):
     """Number of width-1 faces."""
-    phi = h.phi()
-    return sum(1 for e in range(h.n) if phi[e] == e)
+    return _face_widths(h).count(1)
 
 
 # ------------------------------------------------------------ canonical code
@@ -220,27 +241,51 @@ def _root_code(sigma, alpha, root, best):
     return bytes([n, *sig, *alp])
 
 
+def _candidate_roots(sigma, alpha):
+    """Ascending roots whose codes have the least first two sigma bytes.
+
+    Both bytes have a closed form.  Byte 1 is 0 iff sigma fixes the root.
+    From a sigma-fixed root r, byte 2 is 1 iff sigma also fixes alpha[r],
+    else 2.  When sigma fixes nothing, byte 1 is 1 everywhere and byte 2 is
+    2 iff alpha[r] lies in r's own sigma cycle (r, sigma r, sigma^2 r),
+    else 3.  Every other root's code loses to theirs at byte 1 or 2, so the
+    minimal code and all the roots that tie it are among these.  O(n), no
+    walk.
+    """
+    fixed = [r for r in range(len(sigma)) if sigma[r] == r]
+    if fixed:
+        best = [r for r in fixed if sigma[alpha[r]] == alpha[r]]
+    else:
+        best = [r for r in range(len(sigma))
+                if alpha[r] == r or alpha[r] == sigma[r]
+                or sigma[alpha[r]] == r]
+    return best or fixed or list(range(len(sigma)))
+
+
 def canonical_form(h):
     """(canonical code, |Aut|) of a dessin from one walk over its roots.
 
     The code is the lexicographic minimum over all n roots of the
     breadth-first relabeling code of _root_code: bytes([n]) + sigma images
-    + alpha images.  A root is abandoned at the first byte that loses to
-    the best code so far.  Two roots give the same code iff an automorphism
-    maps one to the other, and Aut acts freely on the edges of a transitive
-    pair, so the roots that tie the minimum number |Aut|.  Raises
-    NotTransitive (or OrderViolation) on a pair that is not a dessin.
+    + alpha images.  Only the roots that _candidate_roots keeps are walked,
+    since every other root loses at sigma byte 1 or 2, and a walked root is
+    abandoned at the first byte that loses to the best code so far.  Two
+    roots give the same code iff an automorphism maps one to the other, and
+    Aut acts freely on the edges of a transitive pair, so the candidates
+    that tie the minimum number |Aut|.  Raises NotTransitive (or
+    OrderViolation) on a pair that is not a dessin.
     """
     sigma, alpha = h.sigma, h.alpha
     try:
-        best = _root_code(sigma, alpha, 0, None)
+        roots = _candidate_roots(sigma, alpha)
+        best = _root_code(sigma, alpha, roots[0], None)
     except IndexError:
-        # the walk from root 0 runs out of edges when the pair splits;
-        # validate names the typed error
+        # the walk from any root runs out of edges when the pair splits
+        # (there is no root at all when n = 0); validate names the error
         validate(h)
         raise
     ties = 1
-    for root in range(1, h.n):
+    for root in roots[1:]:
         code = _root_code(sigma, alpha, root, best)
         if code is best:
             ties += 1

@@ -111,6 +111,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     except ParseError as exc:
         assert "not a JSON object" in str(exc)
 
+    # nesting past the recursion limit, and an integer past the digit limit
+    for bad in ("[" * 100000, '{"index":' + "9" * 5000 + "}"):
+        path = tmp_path / "unreadable.jsonl"
+        path.write_text(good[0] + "\n" + bad + "\n", encoding="utf-8")
+        try:
+            catalog.read_records(path)
+            assert False
+        except ParseError as exc:
+            assert str(exc).startswith("line 2: invalid JSON ("), exc
+
 
 def test_validation_failures(tmp_path):
     recs = k6_records()
@@ -417,8 +427,9 @@ def test_cli_enumerate_refuses_negative_genus():
 
 def test_cli_enumerate_rejects_out_of_range_index(capsys):
     for index, err in (("0", "DomainError"), ("-3", "DomainError"),
-                       ("256", "ResourceBound")):
-        assert cli.main(["enumerate", "--index", index]) == 1
+                       ("256", "ResourceBound"), ("40", "ResourceBound"),
+                       ("36 --torsion-free", "ResourceBound")):
+        assert cli.main(["enumerate", "--index", *index.split()]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {err}: "), lines
 

@@ -1,6 +1,7 @@
 """Search vs. oracle, known small counts, constraint handling."""
 
 from modk3 import generate
+from modk3.counts import subgroup_counts
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import (
     EnumerationConstraints, _classes_at, brute_force_oracle,
@@ -154,3 +155,33 @@ def test_negative_genus_is_refused_before_any_search(monkeypatch):
                 assert False, f"{fn.__name__} accepted genus -1 with {kw}"
             except DomainError as exc:
                 assert "genus" in str(exc)
+
+
+def test_hall_counts_predict_the_search_leaves():
+    # Hall (1949) for Z/2 * Z/3: the leaf counts the bench pins, and the
+    # two sides of the work cap
+    assert subgroup_counts(24, torsion_free=True)[-1] == 27120
+    assert subgroup_counts(30, torsion_free=True)[-1] == 828250
+    assert subgroup_counts(36, torsion_free=True)[-1] == 30220800
+    assert subgroup_counts(17)[-1] == 17034
+    assert max(subgroup_counts(22)) <= generate.MAX_LEAVES < subgroup_counts(23)[-1]
+    assert subgroup_counts(30, torsion_free=True)[-1] <= generate.MAX_LEAVES
+    for n in range(1, 9):
+        for tf in (False, True):
+            cs = EnumerationConstraints(index=n, torsion_free=tf)
+            assert subgroup_counts(n, tf)[-1] == search_leaf_count(cs), (n, tf)
+
+
+def test_work_cap_is_checked_before_any_search(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(generate, "_search", boom)
+    for kw, leaves in (({"index": 36, "torsion_free": True}, 30220800),
+                       ({"index": 23, "genus_filter": 0}, 1118996)):
+        for fn in (enumerate_classes, search_leaf_count):
+            try:
+                fn(EnumerationConstraints(**kw))
+                assert False, f"{fn.__name__} accepted {kw}"
+            except ResourceBound as exc:
+                assert str(leaves) in str(exc)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
-    Hypermap, automorphism_group, canonical_code, canonical_form, compose,
-    cusp_widths, cycle_type, cycles, fixed_points, from_code, identity_perm,
-    inverse, loop_count, perm_from_cycles, relabel, subgroup_type, validate,
-    white_vertex_types,
+    Hypermap, _candidate_roots, automorphism_group, canonical_code,
+    canonical_form, compose, cusp_widths, cycle_type, cycles, fixed_points,
+    from_code, identity_perm, inverse, loop_count, perm_from_cycles, relabel,
+    subgroup_type, validate, white_vertex_types,
 )
 
 # Hand-built reference dessins -------------------------------------------
@@ -238,43 +238,52 @@ def test_subgroup_type_refuses_a_non_dessin():
         assert "Riemann-Hurwitz" in str(exc)
 
 
-def reference_code(h):
-    """Serialize the breadth-first relabeling from every root, keep the least.
-
-    The plain definition of the canonical code, without early exit.
-    """
+def reference_root_code(h, root):
+    """Serialize the breadth-first relabeling from one root, in full."""
     n, sigma, alpha = h.n, h.sigma, h.alpha
-    best = None
-    for root in range(n):
-        new = [-1] * n
-        order = [root]
-        new[root] = 0
-        head = 0
-        while head < len(order):
-            e = order[head]
-            head += 1
-            for f in (sigma[e], alpha[e]):
-                if new[f] < 0:
-                    new[f] = len(order)
-                    order.append(f)
-        code = bytearray([n])
-        for img in (sigma, alpha):
-            buf = [0] * n
-            for e in range(n):
-                buf[new[e]] = new[img[e]]
-            code.extend(buf)
-        code = bytes(code)
-        if best is None or code < best:
-            best = code
-    return best
+    new = [-1] * n
+    order = [root]
+    new[root] = 0
+    head = 0
+    while head < len(order):
+        e = order[head]
+        head += 1
+        for f in (sigma[e], alpha[e]):
+            if new[f] < 0:
+                new[f] = len(order)
+                order.append(f)
+    code = bytearray([n])
+    for img in (sigma, alpha):
+        buf = [0] * n
+        for e in range(n):
+            buf[new[e]] = new[img[e]]
+        code.extend(buf)
+    return bytes(code)
+
+
+def reference_code(h):
+    """The least root code over every root.
+
+    The plain definition of the canonical code, without early exit or
+    candidate roots.
+    """
+    return min(reference_root_code(h, root) for root in range(h.n))
 
 
 @st.composite
-def transitive_hypermaps(draw, max_n=16):
-    """A random (sigma, alpha) pair cut down to the orbit of edge 0."""
-    n = draw(st.integers(1, max_n))
+def transitive_hypermaps(draw, max_n=16, sigma_fixed_points=True):
+    """A random (sigma, alpha) pair cut down to the orbit of edge 0.
+
+    With sigma_fixed_points=False, sigma is drawn from 3-cycles only, which
+    the cut keeps; alpha may still fix edges.
+    """
+    if sigma_fixed_points:
+        n = draw(st.integers(1, max_n))
+        triples = draw(st.integers(0, n // 3))
+    else:
+        triples = draw(st.integers(1, max_n // 3))
+        n = 3 * triples
     edges = draw(st.permutations(range(n)))
-    triples = draw(st.integers(0, n // 3))
     sigma = perm_from_cycles(n, *(edges[3 * i:3 * i + 3] for i in range(triples)))
     edges = draw(st.permutations(range(n)))
     pairs = draw(st.integers(0, n // 2))
@@ -291,7 +300,9 @@ def transitive_hypermaps(draw, max_n=16):
 
 
 @settings(max_examples=300, deadline=None)
-@given(transitive_hypermaps(), st.data())
+@given(st.one_of(transitive_hypermaps(),
+                 transitive_hypermaps(max_n=18, sigma_fixed_points=False)),
+       st.data())
 def test_canonical_code_matches_reference(h, data):
     want = reference_code(h)
     p = data.draw(st.permutations(range(h.n)))
@@ -299,3 +310,19 @@ def test_canonical_code_matches_reference(h, data):
         assert canonical_code(g) == want
         # the roots that tie the minimal code are one free Aut-orbit
         assert canonical_form(g) == (want, automorphism_group(g).order)
+        # the filter keeps exactly the roots with the least two sigma
+        # bytes, so every root that reaches the minimum survives it
+        codes = [reference_root_code(g, root) for root in range(g.n)]
+        least = min(code[1:3] for code in codes)
+        candidates = _candidate_roots(g.sigma, g.alpha)
+        assert candidates == [r for r in range(g.n) if codes[r][1:3] == least]
+        assert all(r in candidates for r in range(g.n) if codes[r] == want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transitive_hypermaps())
+def test_face_walk_matches_phi_cycles(h):
+    faces = cycles(h.phi())
+    assert subgroup_type(h).h == len(faces)
+    assert cusp_widths(h) == tuple(sorted((len(f) for f in faces), reverse=True))
+    assert loop_count(h) == sum(1 for f in faces if len(f) == 1)

@@ -1,5 +1,6 @@
-"""Package layout guards: no per-process memo, one copy of each shared
-helper, no assert statement, one error base class, one catalog read path."""
+"""Package layout guards: no per-process memo, a lean CLI start, one copy
+of each shared helper, no assert statement, one error base class, one
+catalog read path."""
 
 import ast
 import importlib
@@ -24,6 +25,21 @@ def test_no_empty_module_containers():
             "    for name, value in vars(mod).items():\n"
             "        if type(value) in (dict, list, set) and not value:\n"
             "            print(mod.__name__ + '.' + name)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+
+
+def test_cli_start_loads_only_what_every_command_needs():
+    # every CLI process pays for what `import modk3.cli` loads, `--help`
+    # included; the matrix words, the Euler numbers and the closed-form
+    # counts are imported by the commands that use them
+    code = ("import sys, modk3.cli\n"
+            "for name in ('fractions', 'decimal', 'modk3.slwords',\n"
+            "             'modk3.euler', 'modk3.counts'):\n"
+            "    if name in sys.modules:\n"
+            "        print(name)\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
