@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .errors import (
     DomainError, IncompleteCatalog, Modk3Error, ParseError, ValidationError,
 )
-from .generate import EnumerationConstraints, enumerate_classes
+from .generate import enumerate_classes
 from .hypermap import (
     _face_widths, _type_with_faces, automorphism_group, canonical_code,
-    canonical_form, cycles, from_code, validate,
+    canonical_form, cycles, validate,
 )
-from .lifts import lift_profile, tf_index, totals
+from .lifts import _decode, lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
 
 FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
@@ -80,12 +80,16 @@ def _letters(i):
     return out
 
 
+def _partition(rec):
+    return ",".join(str(w) for w in rec.cusp_widths)
+
+
 def assign_ids(records):
     """Sort by canonical code and hand out partition-plus-letter ids."""
     records.sort(key=lambda r: r.canonical_code)
     counter = {}
     for rec in records:
-        label = ",".join(str(w) for w in rec.cusp_widths)
+        label = _partition(rec)
         counter[label] = counter.get(label, 0) + 1
         rec.id = f"{label}-{_letters(counter[label] - 1)}"
     return records
@@ -148,8 +152,7 @@ def validate_record(rec):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
 
     try:
-        want = record_from_hypermap(
-            validate(from_code(bytes.fromhex(rec.canonical_code))))
+        want = record_from_hypermap(validate(_decode(rec)))
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
     if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
@@ -206,8 +209,9 @@ def write_records(path, records):
 
 # ------------------------------------------------------------ catalog build
 
-def enumerate_records(constraints):
-    records = [record_from_hypermap(h) for h in enumerate_classes(constraints)]
+def enumerate_records(index, *, genus=None, torsion_free=False):
+    records = [record_from_hypermap(h) for h in enumerate_classes(
+        index, genus=genus, torsion_free=torsion_free)]
     return assign_ids(records)
 
 
@@ -218,8 +222,7 @@ def expand_records(tf_records):
         if rec.e2 or rec.e3 or rec.genus:
             raise ValidationError(
                 f"record {rec.id}: expansion input must be torsion-free genus 0")
-        h = from_code(bytes.fromhex(rec.canonical_code))
-        for _, sub in expand_classes(h):
+        for _, sub in expand_classes(_decode(rec)):
             out.append(record_from_hypermap(sub, tf_code=rec.canonical_code))
     return assign_ids(out)
 
@@ -237,8 +240,7 @@ def full_catalog():
     strata in index order, with the per-stratum ids that the CLI writes."""
     records = []
     for n in (6, 12, 18, 24):
-        tf = enumerate_records(EnumerationConstraints(
-            index=n, torsion_free=True, genus_filter=0))
+        tf = enumerate_records(n, genus=0, torsion_free=True)
         records.extend(add_lift_fields(expand_records(tf)))
     return records
 
@@ -267,10 +269,6 @@ def group_label(elements):
     if order == 12 and max(orders) == 3:
         return "A4"
     return f"order-{order}"
-
-
-def _partition(rec):
-    return ",".join(str(w) for w in rec.cusp_widths)
 
 
 def _tf_groups(records, n):
@@ -326,8 +324,9 @@ def report_k12(records):
         e2pos = sum(1 for r in group if r.e2 > 0)
         e3c = {k: sum(1 for r in group if r.e2 == 0 and r.e3 == k)
                for k in (1, 2, 3)}
-        one = sum(lift_profile(r).one_to_one for r in group)
-        two = sum(lift_profile(r).two_to_one for r in group)
+        profiles = [lift_profile(r) for r in group]
+        one = sum(p.one_to_one for p in profiles)
+        two = sum(p.two_to_one for p in profiles)
         col = [c + v for c, v in
                zip(col, (e2pos, e3c[1], e3c[2], e3c[3], one, two))]
         lines.append(f"{_partition(tf):10s} {tf.aut_order:3d} {tf.loop_count:5d}"
@@ -364,7 +363,7 @@ def report_k24(records):
     for rec in records:
         if tf_index(rec) != 24 or rec.e2 or rec.e3:
             continue
-        h = from_code(bytes.fromhex(rec.canonical_code))
+        h = _decode(rec)
         aut = automorphism_group(h)
         label = "any" if rec.loop_count == 0 else group_label(aut.elements)
         mult = burnside_count(aut.loop_action, 3)
@@ -390,7 +389,7 @@ def report_k24sym(records):
     for rec in records:
         if (tf_index(rec) == 24 and rec.e2 == 0 and rec.e3 == 0
                 and rec.loop_count > 0 and rec.aut_order > 1):
-            h = from_code(bytes.fromhex(rec.canonical_code))
+            h = _decode(rec)
             label = group_label(automorphism_group(h).elements)
             picks.append((rec, label))
     lines = ["symmetry  loops  partition"]
@@ -433,7 +432,7 @@ def export_dot(records, rec_id):
         raise ValidationError(f"id {rec_id} names {len(matches)} records, "
                               f"so it does not pick one")
     rec = matches[0]
-    h = from_code(bytes.fromhex(rec.canonical_code))
+    h = _decode(rec)
     width_of = {}
     for face in cycles(h.phi()):
         for e in face:
@@ -476,7 +475,7 @@ def verify_records(records, samples=1000):
     from .slwords import coset_action, eval_word, random_sl2, word_of_matrix
 
     for rec in records:
-        h = from_code(bytes.fromhex(rec.canonical_code))
+        h = _decode(rec)
         perm_s, perm_t = coset_action(h)
         e2 = sum(1 for e in range(h.n) if perm_s[e] == e)
         e3 = sum(1 for e in range(h.n) if h.sigma[e] == e)

@@ -5,7 +5,6 @@ import sys
 
 from . import catalog
 from .errors import Modk3Error
-from .generate import EnumerationConstraints
 
 _ERRORS = (Modk3Error, OSError, ValueError)
 
@@ -19,10 +18,9 @@ def _emit(records, out):
 
 
 def cmd_enumerate(args):
-    constraints = EnumerationConstraints(
-        index=args.index, torsion_free=args.torsion_free,
-        genus_filter=args.genus)
-    _emit(catalog.enumerate_records(constraints), args.out)
+    records = catalog.enumerate_records(
+        args.index, genus=args.genus, torsion_free=args.torsion_free)
+    _emit(records, args.out)
     return 0
 
 

@@ -1,36 +1,19 @@
 """Exhaustive enumeration of dessins up to isomorphism.
 
-Two independent generators live here:
-
-* enumerate_classes -- a backtracking search over partially built
-  (sigma, alpha) pairs.  Fresh edge labels are always the smallest unused
-  integer, so every isomorphism class at index n is reached exactly
-  n / |Aut| times (once per root orbit); a canonicity test at each leaf
-  keeps exactly one of them.
-* brute_force_oracle -- for each involution cycle type, fix one alpha and
-  run over every sigma of order dividing 3, keeping transitive pairs.
-  Much slower, used to cross-check the search; it shares only the
-  transitivity walk, canonical_code and subgroup_type with it.
+enumerate_classes runs a backtracking search over partially built
+(sigma, alpha) pairs.  Fresh edge labels are always the smallest unused
+integer, so every isomorphism class at index n is reached exactly
+n / |Aut| times (once per root orbit); a canonicity test at each leaf
+keeps exactly one of them.
 """
-
-from dataclasses import dataclass
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    Hypermap, _candidate_roots, _reach_count, _root_code, automorphism_group,
-    canonical_code, from_code, subgroup_type,
+    Hypermap, _candidate_roots, _root_code, from_code, subgroup_type,
 )
 
-ORACLE_MAX = 12
 MAX_INDEX = 255        # the canonical code stores the index in one byte
 MAX_LEAVES = 10 ** 6   # search leaves allowed in one enumeration
-
-
-@dataclass(frozen=True)
-class EnumerationConstraints:
-    index: int | None = None
-    genus_filter: int | None = None
-    torsion_free: bool = False
 
 
 def _search(n, torsion_free, emit):
@@ -137,7 +120,7 @@ def _classes_at(n, genus_filter, torsion_free):
     return codes, leaves
 
 
-def _check_constraints(c):
+def _check_constraints(n, genus, torsion_free):
     """Refuse, before any search, an index outside 1..MAX_INDEX, a negative
     genus, or a search of more than MAX_LEAVES leaves.
 
@@ -146,111 +129,30 @@ def _check_constraints(c):
     (counts.subgroup_counts) predicts that number exactly, so the work cap
     is known before the first node.
     """
-    n = c.index
-    if n is None:
-        raise ValueError("set an index")
     if n < 1:
         raise DomainError(f"index must be at least 1, got {n}")
     if n > MAX_INDEX:
         raise ResourceBound(f"index {n} exceeds {MAX_INDEX}, the largest "
                             f"a canonical code can store")
-    if c.genus_filter is not None and c.genus_filter < 0:
-        raise DomainError(f"genus must be at least 0, got {c.genus_filter}")
+    if genus is not None and genus < 0:
+        raise DomainError(f"genus must be at least 0, got {genus}")
     from .counts import subgroup_counts   # off the import path of the CLI
-    leaves = subgroup_counts(n, c.torsion_free)[-1]
+    leaves = subgroup_counts(n, torsion_free)[-1]
     if leaves > MAX_LEAVES:
-        kind = "torsion-free subgroups" if c.torsion_free else "subgroups"
+        kind = "torsion-free subgroups" if torsion_free else "subgroups"
         raise ResourceBound(f"index {n} has {leaves} {kind}, one search leaf "
                             f"each, over the bound of {MAX_LEAVES} leaves")
 
 
-def enumerate_classes(constraints):
-    """All conjugacy classes meeting the constraints, as sorted Hypermaps.
+def enumerate_classes(index, *, genus=None, torsion_free=False):
+    """All conjugacy classes of the index, as sorted Hypermaps: only those
+    of the given genus if one is given, only torsion-free ones if asked.
 
-    The index must be set; indices outside 1..MAX_INDEX, a negative genus
-    and a search of more than MAX_LEAVES leaves are refused before any
-    search.
+    Indices outside 1..MAX_INDEX, a negative genus and a search of more
+    than MAX_LEAVES leaves are refused before any search.
     """
-    c = constraints
-    _check_constraints(c)
-    if c.torsion_free and c.index % 6 != 0:
+    _check_constraints(index, genus, torsion_free)
+    if torsion_free and index % 6 != 0:
         return []
-    codes, _ = _classes_at(c.index, c.genus_filter, c.torsion_free)
+    codes, _ = _classes_at(index, genus, torsion_free)
     return [from_code(code) for code in codes]
-
-
-def rooted_count(classes):
-    """Number of rooted dessins (= subgroups, not classes): sum of n/|Aut|."""
-    if len({h.n for h in classes}) > 1:
-        raise DomainError("classes must share one index")
-    total = 0
-    for h in classes:
-        total += h.n // automorphism_group(h).order
-    return total
-
-
-def search_leaf_count(constraints):
-    """Leaves the backtracker emits; must equal rooted_count of the classes.
-
-    Each subgroup is built exactly once (fresh labels are forced), so this
-    tally double-checks the search against the automorphism bookkeeping.
-    """
-    c = constraints
-    _check_constraints(c)
-    if c.torsion_free and c.index % 6 != 0:
-        return 0
-    _, leaves = _classes_at(c.index, c.genus_filter, c.torsion_free)
-    return leaves
-
-
-def _order3_perms(n, allow_fixed):
-    """Yield every permutation of 0..n-1 with sigma^3 = id, as a list."""
-    images = [-1] * n
-
-    def rec(done):
-        if done == n:
-            yield images
-            return
-        p = images.index(-1)
-        if allow_fixed:
-            images[p] = p
-            yield from rec(done + 1)
-            images[p] = -1
-        free = [e for e in range(p + 1, n) if images[e] < 0]
-        for i, x in enumerate(free):
-            for y in free[:i] + free[i + 1:]:
-                images[p], images[x], images[y] = x, y, p
-                yield from rec(done + 3)
-                images[p] = images[x] = images[y] = -1
-
-    yield from rec(0)
-
-
-def brute_force_oracle(n, genus_filter=None, torsion_free=False):
-    """Classes at index n by brute force; canonical codes, sorted.
-
-    For each number of 2-cycles in alpha, one representative involution is
-    fixed (conjugating sigma by a relabeling moves any alpha to it) and
-    every order-dividing-3 sigma runs through.  Honest but exponential;
-    refuses n > ORACLE_MAX.
-    """
-    if n > ORACLE_MAX:
-        raise ResourceBound(f"oracle stops at index {ORACLE_MAX}, asked for {n}")
-    found = {}
-    for two_cycles in range(n // 2 + 1):
-        e2 = n - 2 * two_cycles
-        if torsion_free and e2 > 0:
-            continue
-        alpha = list(range(n))
-        for i in range(two_cycles):
-            alpha[2 * i], alpha[2 * i + 1] = 2 * i + 1, 2 * i
-        for sigma in _order3_perms(n, allow_fixed=not torsion_free):
-            if _reach_count(sigma, alpha) != n:
-                continue
-            h = Hypermap(sigma, alpha)
-            if genus_filter is not None and subgroup_type(h).g != genus_filter:
-                continue
-            code = canonical_code(h)
-            if code not in found:
-                found[code] = None
-    return sorted(found)

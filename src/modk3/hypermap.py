@@ -11,6 +11,11 @@ surgery code in torsion.py is written against this same convention, so it
 must not be changed in isolation.
 
 Permutations are tuples of images: p[i] is the image of i.
+
+Here: permutation helpers, the Hypermap pair and its validation, the
+type (n; g, h, e2, e3) and cusp widths from one face walk, the canonical
+code with |Aut| from one walk over the candidate roots, and the
+automorphism group with its action on faces and loops.
 """
 
 from collections import namedtuple
@@ -37,7 +42,10 @@ def inverse(p):
 
 
 def cycles(p):
-    """Cycles of p, each starting at its smallest point, ordered by that point."""
+    """Cycles of p, each starting at its smallest point, ordered by that point.
+
+    Raises OrderViolation when p is not a permutation.
+    """
     seen = [False] * len(p)
     out = []
     for x in range(len(p)):
@@ -47,6 +55,8 @@ def cycles(p):
         seen[x] = True
         y = p[x]
         while y != x:
+            if seen[y]:
+                raise OrderViolation(f"not a permutation: {y} is an image twice")
             seen[y] = True
             cyc.append(y)
             y = p[y]
@@ -61,15 +71,6 @@ def cycle_type(p):
 
 def fixed_points(p):
     return [x for x in range(len(p)) if p[x] == x]
-
-
-def perm_from_cycles(n, *cycs):
-    """Permutation of 0..n-1 from cycle notation; omitted points are fixed."""
-    images = list(range(n))
-    for cyc in cycs:
-        for i, x in enumerate(cyc):
-            images[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(images)
 
 
 # ----------------------------------------------------------------- hypermap
@@ -144,7 +145,11 @@ SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
 
 def _face_widths(h):
     """Lengths of the cycles of phi = sigma*alpha, in the order of their
-    smallest edges, from one walk that marks each edge in a bytearray."""
+    smallest edges, from one walk that marks each edge in a bytearray.
+
+    A walk that meets an edge already marked is not on a cycle, so phi is
+    not a permutation: OrderViolation.
+    """
     sigma, alpha = h.sigma, h.alpha
     seen = bytearray(h.n)
     widths = []
@@ -155,6 +160,9 @@ def _face_widths(h):
         e = sigma[alpha[start]]
         w = 1
         while e != start:
+            if seen[e]:
+                raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
+                                     f"{e} is an image twice")
             seen[e] = 1
             w += 1
             e = sigma[alpha[e]]
@@ -310,17 +318,6 @@ def from_code(code):
     return Hypermap(code[1:1 + n], code[1 + n:])
 
 
-def relabel(h, p):
-    """Conjugate both permutations by p (edge e becomes p[e])."""
-    n = h.n
-    sigma = [0] * n
-    alpha = [0] * n
-    for e in range(n):
-        sigma[p[e]] = p[h.sigma[e]]
-        alpha[p[e]] = p[h.alpha[e]]
-    return Hypermap(sigma, alpha)
-
-
 # ------------------------------------------------------------- automorphisms
 
 AutomorphismGroup = namedtuple(
@@ -374,25 +371,3 @@ def automorphism_group(h):
     loop_action = [tuple(loop_pos[fa[fi]] for fi in loops) for fa in face_action]
     return AutomorphismGroup(len(els), tuple(els), tuple(faces),
                              tuple(face_action), loops, tuple(loop_action))
-
-
-def white_vertex_types(h):
-    """Type a|b|c of every trivalent white vertex.
-
-    The widths of the three faces met at the vertex are read in sigma
-    order and normalized to the lexicographically largest rotation, which
-    always lands in the shape a >= b >= c or a > c > b.  Keyed by the
-    sigma 3-cycle (smallest edge first).
-    """
-    faces = cycles(h.phi())
-    width_of = {}
-    for face in faces:
-        for e in face:
-            width_of[e] = len(face)
-    out = {}
-    for cyc in cycles(h.sigma):
-        if len(cyc) != 3:
-            continue
-        trip = tuple(width_of[e] for e in cyc)
-        out[cyc] = max(trip, trip[1:] + trip[:1], trip[2:] + trip[:2])
-    return out

@@ -12,7 +12,7 @@ depend on the catalog layer.
 from collections import namedtuple
 
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
-from .generate import EnumerationConstraints, enumerate_classes
+from .generate import enumerate_classes
 from .hypermap import automorphism_group, canonical_code, from_code
 from .torsion import expand_classes
 
@@ -26,6 +26,7 @@ TotalsSummary = namedtuple(
 
 
 def _decode(rec):
+    """The dessin of a record, rebuilt from its hex canonical code."""
     return from_code(bytes.fromhex(rec.canonical_code))
 
 
@@ -99,8 +100,7 @@ def lift_profile(rec):
 def _tf_expansion_counts(n):
     """{tf code hex: number of classes over it} for torsion-free index n."""
     counts = {}
-    for h in enumerate_classes(EnumerationConstraints(
-            index=n, torsion_free=True, genus_filter=0)):
+    for h in enumerate_classes(n, genus=0, torsion_free=True):
         counts[canonical_code(h).hex()] = len(expand_classes(h))
     return counts
 

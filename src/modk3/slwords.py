@@ -1,14 +1,15 @@
 """Matrix-level verification layer: words in S and T, coset actions.
 
-Everything here exists to check the combinatorics against the group
-theory: a dessin's permutation pair must reproduce membership, torsion
-counts and cusp data when matrices are pushed through it.
+verify checks the combinatorics against the group theory with it: a
+dessin's coset action must reproduce its torsion counts and cusp data,
+and random SL(2,Z) matrices must survive the round trip through their
+S/T words.
 """
 
 from collections import namedtuple
 from itertools import groupby
 
-from .hypermap import compose, identity_perm, inverse
+from .hypermap import compose, inverse
 
 _Mat2Base = namedtuple("Mat2Base", "a b c d")
 
@@ -94,26 +95,6 @@ def coset_action(h):
     """
     perm_T = compose(inverse(h.alpha), h.sigma)
     return h.alpha, perm_T
-
-
-def word_perm(h, word):
-    """Permutation of the word's matrix on edges (homomorphism order)."""
-    perm_s, perm_t = coset_action(h)
-    letters = {"S": perm_s, "T": perm_t, "T^-1": inverse(perm_t)}
-    acc = identity_perm(h.n)
-    for letter in word:
-        acc = compose(acc, letters[letter])
-    return acc
-
-
-def member_sign(h, root, m):
-    """(membership, sign) of m for the subgroup attached to (h, root).
-
-    Membership is decided at the PSL level; the sign of the word
-    decomposition lets SL-level callers track -I.
-    """
-    word, sign = word_of_matrix(m)
-    return word_perm(h, word)[root] == root, sign
 
 
 def random_sl2(rng, bound=1000):

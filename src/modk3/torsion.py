@@ -92,7 +92,9 @@ def tf_retract(h):
     """Plant gadgets at every fixed point; the unique tf dessin over h.
 
     Inverse to substitute: tf_retract(substitute(h_tf, a)) is isomorphic
-    to h_tf for every valid assignment a.
+    to h_tf for every valid assignment a.  h must be a dessin (validated):
+    the result is then one too without a check, since each gadget closes
+    a sigma 3-cycle and an alpha 2-cycle and hangs off an existing edge.
     """
     sigma = list(h.sigma)
     alpha = list(h.alpha)
@@ -113,7 +115,7 @@ def tf_retract(h):
         sigma[e], sigma[a], sigma[p] = a, p, e      # 3-cycle (e a p)
         alpha[e], alpha[p] = p, e                   # loop edge is e
         alpha[y], alpha[a] = a, y
-    return validate(Hypermap(sigma, alpha))
+    return Hypermap(sigma, alpha)
 
 
 def expand_classes(h_tf):

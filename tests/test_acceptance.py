@@ -11,15 +11,18 @@ from collections import Counter
 from modk3 import catalog
 from modk3.errors import DegenerateSubstitution
 from modk3.euler import corollary_euler, minimal_euler, minimal_euler_tf
-from modk3.generate import (
-    EnumerationConstraints, brute_force_oracle, enumerate_classes, rooted_count,
-)
+from modk3.generate import enumerate_classes
 from modk3.hypermap import (
     Hypermap, automorphism_group, canonical_code, cycle_type, cycles,
-    from_code, perm_from_cycles, subgroup_type, white_vertex_types,
+    from_code, subgroup_type,
 )
-from modk3.slwords import coset_action, word_perm
+from modk3.slwords import coset_action
 from modk3.torsion import BLACK, burnside_count, substitute, tf_retract
+
+from helpers import (
+    brute_force_oracle, perm_from_cycles, rooted_count, white_vertex_types,
+    word_perm,
+)
 
 TF_COUNTS = {6: (2, 4), 12: (6, 32), 18: (26, 336), 24: (191, 4096)}
 
@@ -67,8 +70,7 @@ def test_criterion_1_torsion_free_counts():
     t0 = time.time()
     for n, (n_classes, n_rooted) in TF_COUNTS.items():
         t1 = time.time()
-        classes = enumerate_classes(EnumerationConstraints(
-            index=n, torsion_free=True, genus_filter=0))
+        classes = enumerate_classes(n, genus=0, torsion_free=True)
         dt = time.time() - t1
         assert len(classes) == n_classes, (n, len(classes))
         assert rooted_count(classes) == n_rooted, n
@@ -196,8 +198,7 @@ def test_criterion_6_oracle_equivalence():
     for n in range(1, 9):
         for torsion_free, genus in itertools.product((False, True), (None, 0)):
             got = [canonical_code(h) for h in enumerate_classes(
-                EnumerationConstraints(index=n, torsion_free=torsion_free,
-                                       genus_filter=genus))]
+                n, genus=genus, torsion_free=torsion_free)]
             want = brute_force_oracle(n, genus_filter=genus,
                                       torsion_free=torsion_free)
             assert got == want, (n, torsion_free, genus)

@@ -7,17 +7,15 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from modk3 import catalog, cli, hypermap
+from modk3 import catalog, cli, hypermap, torsion
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
-from modk3.generate import EnumerationConstraints
-from modk3.hypermap import (
-    Hypermap, canonical_code, from_code, relabel, validate,
-)
+from modk3.hypermap import Hypermap, canonical_code, from_code, validate
+
+from helpers import relabel
 
 
 def tf_records(n):
-    return catalog.enumerate_records(
-        EnumerationConstraints(index=n, torsion_free=True, genus_filter=0))
+    return catalog.enumerate_records(n, genus=0, torsion_free=True)
 
 
 def k6_records():
@@ -408,7 +406,25 @@ def test_read_and_build_need_no_automorphism_group(tmp_path, monkeypatch):
     monkeypatch.setattr(hypermap, "automorphism_group", boom)
     monkeypatch.setattr(catalog, "automorphism_group", boom)
     assert len(catalog.read_records(path)) == 6
-    assert len(catalog.enumerate_records(EnumerationConstraints(index=12))) == 80
+    assert len(catalog.enumerate_records(12)) == 80
+
+
+def test_read_validates_each_dessin_once(tmp_path, monkeypatch):
+    # each record's dessin is validated once; its retraction is built from
+    # that validated dessin and is not checked again
+    path = tmp_path / "k6_lifts.jsonl"
+    catalog.write_records(path, k6_records())
+    calls = {"hypermap": 0, "catalog": 0, "torsion": 0}
+    validate = hypermap.validate
+    for name, module in (("hypermap", hypermap), ("catalog", catalog),
+                         ("torsion", torsion)):
+        def counted(h, name=name):
+            calls[name] += 1
+            return validate(h)
+        monkeypatch.setattr(module, "validate", counted)
+    assert len(catalog.read_records(path)) == 6
+    assert sum(calls.values()) == 6
+    assert calls["torsion"] == 0
 
 
 def test_cli_verify_refuses_negative_samples(tmp_path):

@@ -7,8 +7,10 @@ from modk3.euler import (
     EulerInput, corollary_euler, euler_number, is_monodromy_at,
     kodaira_fibre, minimal_euler, minimal_euler_tf, star_partner,
 )
-from modk3.hypermap import Hypermap, canonical_code, perm_from_cycles
+from modk3.hypermap import Hypermap, canonical_code
 from modk3.slwords import I2, Mat2
+
+from helpers import perm_from_cycles
 
 Rec = namedtuple("Rec", "genus tf_code")
 

@@ -1,42 +1,42 @@
 """Search vs. oracle, known small counts, constraint handling."""
 
-from modk3 import generate
+import inspect
+
+from modk3 import catalog, generate
 from modk3.counts import subgroup_counts
 from modk3.errors import DomainError, ResourceBound
-from modk3.generate import (
-    EnumerationConstraints, _classes_at, brute_force_oracle,
-    enumerate_classes, rooted_count, search_leaf_count,
-)
+from modk3.generate import _classes_at, enumerate_classes
 from modk3.hypermap import (
     canonical_code, cusp_widths, from_code, subgroup_type, validate,
 )
 
+from helpers import brute_force_oracle, rooted_count, search_leaf_count
 
-def codes(**kw):
-    return [canonical_code(h) for h in enumerate_classes(EnumerationConstraints(**kw))]
+
+def codes(index, **kw):
+    return [canonical_code(h) for h in enumerate_classes(index, **kw)]
 
 
 def test_index_one():
-    hs = enumerate_classes(EnumerationConstraints(index=1))
+    hs = enumerate_classes(1)
     assert len(hs) == 1
     assert subgroup_type(hs[0]) == (1, 0, 1, 1, 1)
 
 
 def test_all_results_validate():
     for n in range(1, 8):
-        for h in enumerate_classes(EnumerationConstraints(index=n)):
+        for h in enumerate_classes(n):
             validate(h)
 
 
 def test_torsion_free_skips_non_multiples_of_six():
-    assert codes(index=8, torsion_free=True) == []
-    assert search_leaf_count(EnumerationConstraints(index=9, torsion_free=True)) == 0
+    assert codes(8, torsion_free=True) == []
+    assert search_leaf_count(9, torsion_free=True) == 0
     assert brute_force_oracle(7, torsion_free=True) == []
 
 
 def test_torsion_free_index_six():
-    cs = EnumerationConstraints(index=6, torsion_free=True, genus_filter=0)
-    hs = enumerate_classes(cs)
+    hs = enumerate_classes(6, genus=0, torsion_free=True)
     assert len(hs) == 2
     assert sorted(cusp_widths(h) for h in hs) == [(2, 2, 2), (4, 1, 1)]
     for h in hs:
@@ -44,43 +44,48 @@ def test_torsion_free_index_six():
         assert t.e2 == 0 and t.e3 == 0 and t.g == 0
     # 6/2 + 6/6 subgroups across the two classes
     assert rooted_count(hs) == 4
-    assert search_leaf_count(cs) == 4
+    assert search_leaf_count(6, genus=0, torsion_free=True) == 4
 
 
 def test_torsion_free_index_twelve():
-    cs = EnumerationConstraints(index=12, torsion_free=True, genus_filter=0)
-    hs = enumerate_classes(cs)
+    hs = enumerate_classes(12, genus=0, torsion_free=True)
     assert len(hs) == 6
     assert rooted_count(hs) == 32
-    assert search_leaf_count(cs) == 32
+    assert search_leaf_count(12, genus=0, torsion_free=True) == 32
 
 
 def test_leaf_tally_matches_aut_bookkeeping():
     # the backtracker hits each subgroup once, so leaves == sum of n/|Aut|
     for n in range(1, 7):
         for tf in (False, True):
-            cs = EnumerationConstraints(index=n, torsion_free=tf)
-            assert search_leaf_count(cs) == rooted_count(enumerate_classes(cs)), (n, tf)
+            leaves = search_leaf_count(n, torsion_free=tf)
+            assert leaves == rooted_count(enumerate_classes(n, torsion_free=tf)), (n, tf)
 
 
 def test_output_is_sorted_and_deterministic():
-    a = codes(index=6)
-    b = codes(index=6)
+    a = codes(6)
+    b = codes(6)
     assert a == b == sorted(a)
     assert len(set(a)) == len(a)
 
 
 def test_constraint_validation():
-    try:
-        enumerate_classes(EnumerationConstraints())
-        assert False
-    except ValueError:
-        pass
-    try:
-        search_leaf_count(EnumerationConstraints())
-        assert False
-    except ValueError:
-        pass
+    # the index is required and positional; genus and torsion_free are
+    # keyword-only, so a bare 0 or True cannot land in the wrong one
+    for fn in (enumerate_classes, catalog.enumerate_records, search_leaf_count):
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["index", "genus", "torsion_free"], fn.__name__
+        assert params["index"].default is inspect.Parameter.empty
+        assert params["index"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        for name, default in (("genus", None), ("torsion_free", False)):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is default
+        for args in ((), (6, 0), (6, None, True)):
+            try:
+                fn(*args)
+                assert False, f"{fn.__name__} accepted {args}"
+            except TypeError:
+                pass
 
 
 def test_oracle_refuses_large_index():
@@ -96,7 +101,7 @@ def test_oracle_matches_search_small():
     for n in range(1, 8):
         for tf in (False, True):
             for g in (None, 0):
-                want = codes(index=n, torsion_free=tf, genus_filter=g)
+                want = codes(n, genus=g, torsion_free=tf)
                 if tf and n % 6 != 0:
                     assert want == []
                     continue
@@ -117,14 +122,12 @@ def test_rooted_counts_match_hall_past_the_oracle():
     # Hall (1949): PSL(2,Z) = Z/2 * Z/3 has a_13 = 1729 and a_14 = 2198
     # subgroups of index 13 and 14, past ORACLE_MAX
     for n, want in ((13, 1729), (14, 2198)):
-        cs = EnumerationConstraints(index=n)
-        assert rooted_count(enumerate_classes(cs)) == want
-        assert search_leaf_count(cs) == want
+        assert rooted_count(enumerate_classes(n)) == want
+        assert search_leaf_count(n) == want
 
 
 def test_rooted_count_needs_one_index():
-    mixed = (enumerate_classes(EnumerationConstraints(index=2))
-             + enumerate_classes(EnumerationConstraints(index=3)))
+    mixed = enumerate_classes(2) + enumerate_classes(3)
     try:
         rooted_count(mixed)
         assert False, "rooted_count summed two indices"
@@ -136,7 +139,7 @@ def test_index_bounds():
     for n, err in ((0, DomainError), (-3, DomainError), (256, ResourceBound)):
         for fn in (enumerate_classes, search_leaf_count):
             try:
-                fn(EnumerationConstraints(index=n))
+                fn(n)
                 assert False, f"{fn.__name__} accepted index={n}"
             except err:
                 pass
@@ -151,7 +154,7 @@ def test_negative_genus_is_refused_before_any_search(monkeypatch):
                {"index": 8, "torsion_free": True}):
         for fn in (enumerate_classes, search_leaf_count):
             try:
-                fn(EnumerationConstraints(genus_filter=-1, **kw))
+                fn(genus=-1, **kw)
                 assert False, f"{fn.__name__} accepted genus -1 with {kw}"
             except DomainError as exc:
                 assert "genus" in str(exc)
@@ -168,8 +171,8 @@ def test_hall_counts_predict_the_search_leaves():
     assert subgroup_counts(30, torsion_free=True)[-1] <= generate.MAX_LEAVES
     for n in range(1, 9):
         for tf in (False, True):
-            cs = EnumerationConstraints(index=n, torsion_free=tf)
-            assert subgroup_counts(n, tf)[-1] == search_leaf_count(cs), (n, tf)
+            leaves = search_leaf_count(n, torsion_free=tf)
+            assert subgroup_counts(n, tf)[-1] == leaves, (n, tf)
 
 
 def test_work_cap_is_checked_before_any_search(monkeypatch):
@@ -178,10 +181,10 @@ def test_work_cap_is_checked_before_any_search(monkeypatch):
 
     monkeypatch.setattr(generate, "_search", boom)
     for kw, leaves in (({"index": 36, "torsion_free": True}, 30220800),
-                       ({"index": 23, "genus_filter": 0}, 1118996)):
+                       ({"index": 23, "genus": 0}, 1118996)):
         for fn in (enumerate_classes, search_leaf_count):
             try:
-                fn(EnumerationConstraints(**kw))
+                fn(**kw)
                 assert False, f"{fn.__name__} accepted {kw}"
             except ResourceBound as exc:
                 assert str(leaves) in str(exc)

@@ -8,9 +8,10 @@ from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _candidate_roots, automorphism_group, canonical_code,
     canonical_form, compose, cusp_widths, cycle_type, cycles, fixed_points,
-    from_code, identity_perm, inverse, loop_count, perm_from_cycles, relabel,
-    subgroup_type, validate, white_vertex_types,
+    from_code, identity_perm, inverse, loop_count, subgroup_type, validate,
 )
+
+from helpers import perm_from_cycles, relabel, white_vertex_types
 
 # Hand-built reference dessins -------------------------------------------
 #
@@ -227,6 +228,19 @@ def test_white_vertex_type_shape():
         for trip in white_vertex_types(h).values():
             a, b, c = trip
             assert (a >= b >= c) or (a > c > b)
+
+
+def test_walks_refuse_a_pair_that_is_not_a_permutation():
+    # sigma sends 0 and 1 to 1, so the walk from 0 reaches 1 twice and
+    # never comes back to 0
+    h = Hypermap((1, 1, 2), (0, 1, 2))
+    for fn, arg in ((subgroup_type, h), (cusp_widths, h), (loop_count, h),
+                    (cycles, h.sigma), (cycles, h.phi())):
+        try:
+            fn(arg)
+            assert False, f"{fn.__name__} walked a non-permutation"
+        except OrderViolation:
+            pass
 
 
 def test_subgroup_type_refuses_a_non_dessin():

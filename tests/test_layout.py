@@ -1,6 +1,6 @@
 """Package layout guards: no per-process memo, a lean CLI start, one copy
 of each shared helper, no assert statement, one error base class, one
-catalog read path."""
+catalog read path, no public definition that no entry point reaches."""
 
 import ast
 import importlib
@@ -82,3 +82,69 @@ def test_cli_uses_only_public_catalog_names():
                and isinstance(node.value, ast.Name) and node.value.id == "catalog"
                and node.attr.startswith("_")]
     assert private == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _used_names(tree):
+    """Names and attribute names a tree uses, plus the names it imports and
+    the identifiers spelled as strings (bench/tracer.py names its layers
+    that way); docstrings are never identifiers, so they add nothing."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def _python_api_block():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Python API", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_every_public_definition_is_reached():
+    # start from the CLI entry point, the package's own imports, the README
+    # API example and what the benchmark binds, and follow every name used
+    # in a reached top-level definition; a public function or class that
+    # nothing reaches is test-only code and belongs beside the tests
+    defs = {}        # top-level name -> [(module, node)]
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append((path.stem, node))
+
+    init = ast.parse(Path(modk3.__file__).read_text(encoding="utf-8"))
+    todo = {"main"} | _used_names(init)
+    todo |= _used_names(ast.parse(_python_api_block()))
+    todo |= _used_names(ast.parse((ROOT / "bench" / "tracer.py").read_text(
+        encoding="utf-8")))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        for mod, node in defs.get(name, ()):
+            if (mod, name) not in reached:
+                reached.add((mod, name))
+                todo |= _used_names(node)
+
+    # euler.py waits for the lift check that is to give it a path
+    unreached = sorted(f"{mod}.{name}" for name, found in defs.items()
+                       for mod, node in found
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not name.startswith("_") and mod != "euler"
+                       and (mod, name) not in reached)
+    assert unreached == []

@@ -5,7 +5,7 @@ from collections import namedtuple
 from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
-from modk3.generate import EnumerationConstraints, enumerate_classes
+from modk3.generate import enumerate_classes
 from modk3.hypermap import canonical_code, cusp_widths, subgroup_type
 from modk3.lifts import (
     face_orbit_count, lift_profile, star_orbit_count, totals,
@@ -22,8 +22,7 @@ def rec_of(h, tf_h):
 
 
 def tf_classes(n):
-    return enumerate_classes(EnumerationConstraints(index=n, torsion_free=True,
-                                                    genus_filter=0))
+    return enumerate_classes(n, genus=0, torsion_free=True)
 
 
 def stratum(n):

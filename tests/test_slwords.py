@@ -4,15 +4,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from modk3.generate import EnumerationConstraints, enumerate_classes
+from modk3.generate import enumerate_classes
 from modk3.hypermap import (
-    Hypermap, compose, cusp_widths, cycle_type, identity_perm,
-    perm_from_cycles, subgroup_type,
+    Hypermap, compose, cusp_widths, cycle_type, identity_perm, subgroup_type,
 )
 from modk3.slwords import (
-    I2, Mat2, S, T, T_INV, coset_action, eval_word, member_sign,
-    random_sl2, word_of_matrix, word_perm,
+    I2, Mat2, S, T, T_INV, coset_action, eval_word, random_sl2, word_of_matrix,
 )
+
+from helpers import member_sign, perm_from_cycles, word_perm
 
 FULL = Hypermap((0,), (0,))
 H1 = Hypermap(perm_from_cycles(4, (1, 2, 3)),
@@ -91,7 +91,7 @@ def test_coset_action_identity():
 
 def test_coset_action_cycle_data():
     for n in range(1, 7):
-        for h in enumerate_classes(EnumerationConstraints(index=n)):
+        for h in enumerate_classes(n):
             t = subgroup_type(h)
             perm_s, perm_t = coset_action(h)
             assert sum(1 for e in range(h.n) if perm_s[e] == e) == t.e2
@@ -100,9 +100,8 @@ def test_coset_action_cycle_data():
 
 
 def test_triple_two_class_has_222_translation():
-    picks = [h for h in enumerate_classes(
-        EnumerationConstraints(index=6, torsion_free=True, genus_filter=0))
-        if cusp_widths(h) == (2, 2, 2)]
+    picks = [h for h in enumerate_classes(6, genus=0, torsion_free=True)
+             if cusp_widths(h) == (2, 2, 2)]
     _, perm_t = coset_action(picks[0])
     assert cycle_type(perm_t) == (2, 2, 2)
 
@@ -155,7 +154,7 @@ def test_index_two_membership():
 
 def test_membership_is_root_covariant():
     rng = random.Random(15)
-    classes = enumerate_classes(EnumerationConstraints(index=6))
+    classes = enumerate_classes(6)
     for h in classes[:8]:
         for _ in range(10):
             m = random_sl2(rng, bound=20)

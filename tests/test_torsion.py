@@ -4,17 +4,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 import modk3
 from modk3.errors import DegenerateSubstitution, DomainError
-from modk3.generate import EnumerationConstraints, enumerate_classes
+from modk3.generate import enumerate_classes
 from modk3.hypermap import (
-    automorphism_group, canonical_code, cusp_widths, perm_from_cycles,
-    subgroup_type, validate, Hypermap,
+    automorphism_group, canonical_code, cusp_widths, subgroup_type, validate,
+    Hypermap,
 )
 from modk3.torsion import (
     BLACK, KEEP, WHITE, burnside_count, expand_classes, loops, substitute,
     tf_retract,
 )
+
+from helpers import perm_from_cycles
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
                 perm_from_cycles(6, (1, 2), (0, 3), (4, 5)))
@@ -24,8 +28,7 @@ IDENTITY = Hypermap((0,), (0,))
 
 
 def tf_classes(n):
-    return enumerate_classes(EnumerationConstraints(index=n, torsion_free=True,
-                                                    genus_filter=0))
+    return enumerate_classes(n, genus=0, torsion_free=True)
 
 
 def by_widths(n, widths):
@@ -109,6 +112,43 @@ def test_round_trip_through_substitution():
             for a, sub in expand_classes(h):
                 validate(sub)
                 assert canonical_code(tf_retract(sub)) == code, a
+
+
+@st.composite
+def torsion_free_pairs(draw, max_k=4):
+    """A random torsion-free dessin of any genus: sigma made of 3-cycles
+    only and alpha without fixed points, cut down to the orbit of edge 0
+    (an orbit of both keeps both properties)."""
+    n = 6 * draw(st.integers(1, max_k))
+    edges = draw(st.permutations(range(n)))
+    sigma = perm_from_cycles(n, *(edges[i:i + 3] for i in range(0, n, 3)))
+    edges = draw(st.permutations(range(n)))
+    alpha = perm_from_cycles(n, *(edges[i:i + 2] for i in range(0, n, 2)))
+    orbit = [0]
+    pos = {0: 0}
+    for e in orbit:
+        for f in (sigma[e], alpha[e]):
+            if f not in pos:
+                pos[f] = len(orbit)
+                orbit.append(f)
+    return validate(Hypermap([pos[sigma[e]] for e in orbit],
+                             [pos[alpha[e]] for e in orbit]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsion_free_pairs(), st.data())
+def test_retract_undoes_any_substitution(h, data):
+    # tf_retract plants its gadgets without a check; its output must still
+    # be a dessin, and the one the substitution started from
+    choice = tuple(data.draw(st.sampled_from((KEEP, WHITE, BLACK)))
+                   for _ in loops(h))
+    try:
+        sub = substitute(h, choice)
+    except DegenerateSubstitution:
+        return
+    back = tf_retract(sub)
+    validate(back)
+    assert canonical_code(back) == canonical_code(h), choice
 
 
 def test_expand_411():
