@@ -3,7 +3,9 @@
 One JSON object per line, fields in a fixed order, values all derivable
 from the canonical code -- the rest of the record is denormalized for
 grep-ability.  Every command reads through read_records, which rebuilds
-each record from its code, stored lift counts included, and compares.
+each record from its code, stored lift counts included, and compares.  A
+torsion record's tf code is checked by an isomorphism test against its
+retraction, and each distinct tf code is proved canonical once per read.
 IDs are human-facing: cusp-width partition plus a letter counting classes
 with that partition in canonical-code order ("4,1,1-A").
 """
@@ -16,8 +18,8 @@ from .errors import (
 )
 from .generate import enumerate_classes
 from .hypermap import (
-    _face_widths, _type_with_faces, automorphism_group, canonical_code,
-    canonical_form, cycles, validate,
+    _face_widths, _is_walk_code, _type_with_faces, automorphism_group,
+    canonical_code, canonical_form, cycles, from_code, validate,
 )
 from .lifts import _decode, lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
@@ -102,57 +104,99 @@ def record_to_json(rec):
     return json.dumps(obj, separators=(",", ":"))
 
 
+_FIELD_SET = frozenset(FIELDS)
 _INT_FIELDS = ("index", "genus", "h", "e2", "e3", "aut_order", "loop_count")
 
 
+def _field_error(lineno, name, desc):
+    return ParseError(f"line {lineno}: field {name!r} is not {desc}")
+
+
 def _parse_record(obj, lineno):
-    if not isinstance(obj, dict):
+    """The record of one decoded JSON line, its field names and value types
+    checked; the first fault in FIELDS order is a ParseError.
+
+    json.loads makes only exact types, so type(v) is int tells an integer
+    from a bool.
+    """
+    if type(obj) is not dict:
         raise ParseError(f"line {lineno}: record is not a JSON object")
-    unknown = [k for k in obj if k not in FIELDS]
-    if unknown:
-        raise ParseError(f"line {lineno}: unknown field {unknown[0]!r}")
-    missing = [k for k in FIELDS if k not in obj]
-    if missing:
+    if obj.keys() != _FIELD_SET:
+        unknown = [k for k in obj if k not in _FIELD_SET]
+        if unknown:
+            raise ParseError(f"line {lineno}: unknown field {unknown[0]!r}")
+        missing = [k for k in FIELDS if k not in obj]
         raise ParseError(f"line {lineno}: missing field {missing[0]!r}")
-
-    def want(name, ok, desc):
-        if not ok:
-            raise ParseError(f"line {lineno}: field {name!r} is not {desc}")
-
     for name in _INT_FIELDS:
-        want(name, isinstance(obj[name], int) and not isinstance(obj[name], bool),
-             "an integer")
+        if type(obj[name]) is not int:
+            raise _field_error(lineno, name, "an integer")
     for name in ("id", "canonical_code", "tf_code"):
-        want(name, isinstance(obj[name], str), "a string")
-    want("cusp_widths", isinstance(obj["cusp_widths"], list)
-         and all(isinstance(w, int) and not isinstance(w, bool)
-                 for w in obj["cusp_widths"]), "a list of integers")
-    want("assignment", isinstance(obj["assignment"], dict)
-         and sorted(obj["assignment"]) == ["black", "white"]
-         and all(isinstance(v, int) and not isinstance(v, bool)
-                 for v in obj["assignment"].values()),
-         "a {white, black} count object")
+        if type(obj[name]) is not str:
+            raise _field_error(lineno, name, "a string")
+    widths = obj["cusp_widths"]
+    if type(widths) is not list or not all(type(w) is int for w in widths):
+        raise _field_error(lineno, "cusp_widths", "a list of integers")
+    counts = obj["assignment"]
+    if (type(counts) is not dict or counts.keys() != {"white", "black"}
+            or not all(type(v) is int for v in counts.values())):
+        raise _field_error(lineno, "assignment", "a {white, black} count object")
     for name in ("lift_one_to_one", "lift_two_to_one"):
-        v = obj[name]
-        want(name, v is None or (isinstance(v, int) and not isinstance(v, bool)),
-             "an integer or null")
-    return DessinRecord(**{name: obj[name] for name in FIELDS})
+        if obj[name] is not None and type(obj[name]) is not int:
+            raise _field_error(lineno, name, "an integer or null")
+    return DessinRecord(*[obj[name] for name in FIELDS])
 
 
-def validate_record(rec):
+def _checked_tf_code(h, stored, tf_codes):
+    """The hex tf code of the dessin h: stored itself if it passes, else
+    the canonical code that record_from_hypermap would derive.
+
+    stored passes when a candidate root of tf_retract(h) walks to its
+    bytes (an isomorphism test, which also makes them the code of a
+    dessin, so they need no validate) and it is their canonical lower-case
+    hex.  Canonicity is proved by a canonical walk of the dessin the bytes
+    decode to, once per distinct string: tf_codes holds the strings proved.
+    """
+    retract = tf_retract(h)
+    try:
+        code = bytes.fromhex(stored)
+    except ValueError:
+        code = b""
+    if _is_walk_code(retract, code):
+        if stored in tf_codes:
+            return stored
+        # isomorphic to the retraction, so it has the same canonical code
+        derived = canonical_code(from_code(code)).hex()
+        if derived == stored:
+            tf_codes.add(stored)
+        return derived
+    return canonical_code(retract).hex()
+
+
+def validate_record(rec, tf_codes=None):
     """Rebuild the record from its canonical code and compare every field
     but id with the stored one.
 
     The stored code must therefore be the canonical lower-case hex code of
-    a dessin: a relabelled or upper-case copy is refused.  A record that
-    stores any lift count must store the pair the lift rules give, so
-    counts on a class outside the K3 range are refused too.
+    a dessin: a relabelled or upper-case copy is refused.  A torsion
+    record's tf_code is checked by an isomorphism test against its
+    retraction, and its canonicity once per distinct tf code: tf_codes is
+    the set of tf codes already proved canonical, which read_records keeps
+    for one read (without it, each call proves canonicity afresh).  A
+    record that stores any lift count must store the pair the lift rules
+    give, so counts on a class outside the K3 range are refused too.
     """
     def bad(msg):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
 
     try:
-        want = record_from_hypermap(validate(_decode(rec)))
+        h = validate(_decode(rec))
+        # the stored torsion counts only choose the path: a torsion-free
+        # dessin is its own retraction, so both paths derive the same code
+        tf_code = None
+        if rec.e2 or rec.e3:
+            tf_code = _checked_tf_code(
+                h, rec.tf_code, set() if tf_codes is None else tf_codes)
+        want = record_from_hypermap(h, tf_code=tf_code)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
     if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
@@ -160,10 +204,12 @@ def validate_record(rec):
             want.lift_one_to_one, want.lift_two_to_one, _ = lift_profile(want)
         except Modk3Error as exc:
             bad(f"stores lift counts, but the lift rules give none ({exc})")
-    for name in FIELDS[1:]:
-        got, derived = getattr(rec, name), getattr(want, name)
-        if got != derived:
-            bad(f"{name} is {got!r}, the code gives {derived!r}")
+    want.id = rec.id
+    if want != rec:
+        for name in FIELDS[1:]:
+            got, derived = getattr(rec, name), getattr(want, name)
+            if got != derived:
+                bad(f"{name} is {got!r}, the code gives {derived!r}")
     return rec
 
 
@@ -174,10 +220,12 @@ def read_records(path):
     or holding an integer past the digit limit included), an unknown field
     or a canonical code already seen on an earlier line is a ParseError; a
     record that validate_record refuses is a ValidationError; both name
-    the line.
+    the line.  One set of the tf codes proved canonical serves the whole
+    read, so each distinct tf code costs one canonical walk.
     """
     records = []
     first_line = {}
+    tf_codes = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -194,7 +242,7 @@ def read_records(path):
             if first != lineno:
                 raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
             try:
-                validate_record(rec)
+                validate_record(rec, tf_codes)
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}")
             records.append(rec)

@@ -14,8 +14,9 @@ Permutations are tuples of images: p[i] is the image of i.
 
 Here: permutation helpers, the Hypermap pair and its validation, the
 type (n; g, h, e2, e3) and cusp widths from one face walk, the canonical
-code with |Aut| from one walk over the candidate roots, and the
-automorphism group with its action on faces and loops.
+code with |Aut| from one walk over the candidate roots, the test of a
+torsion-free dessin against a given code that stops at the first tying
+root, and the automorphism group with its action on faces and loops.
 """
 
 from collections import namedtuple
@@ -110,7 +111,8 @@ def validate(h):
         raise NotTransitive("a dessin needs at least one edge")
     if len(h.alpha) != n:
         raise OrderViolation(f"sigma moves {n} points but alpha moves {len(h.alpha)}")
-    if sorted(h.sigma) != list(range(n)) or sorted(h.alpha) != list(range(n)):
+    labels = list(range(n))
+    if sorted(h.sigma) != labels or sorted(h.alpha) != labels:
         raise OrderViolation("sigma and alpha must be permutations of 0..n-1")
     for e in range(n):
         if h.sigma[h.sigma[h.sigma[e]]] != e:
@@ -126,18 +128,19 @@ def validate(h):
 def _reach_count(sigma, alpha):
     """Number of edges reachable from edge 0; <sigma, alpha> is transitive
     iff it equals n."""
-    seen = [False] * len(sigma)
-    seen[0] = True
-    todo = [0]
-    count = 1
-    while todo:
-        e = todo.pop()
-        for f in (sigma[e], alpha[e]):
-            if not seen[f]:
-                seen[f] = True
-                count += 1
-                todo.append(f)
-    return count
+    seen = bytearray(len(sigma))
+    seen[0] = 1
+    reached = [0]
+    for e in reached:                # the loop also visits what it appends
+        f = sigma[e]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+        f = alpha[e]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+    return len(reached)
 
 
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
@@ -148,25 +151,35 @@ def _face_widths(h):
     smallest edges, from one walk that marks each edge in a bytearray.
 
     A walk that meets an edge already marked is not on a cycle, so phi is
-    not a permutation: OrderViolation.
+    not a permutation: OrderViolation, as for an image past n or unequal
+    lengths.  The empty pair is NotTransitive, as in validate.  The checks
+    cost nothing on a dessin: two length tests and a try block.
     """
     sigma, alpha = h.sigma, h.alpha
-    seen = bytearray(h.n)
+    n = h.n
+    if n == 0:
+        raise NotTransitive("a dessin needs at least one edge")
+    if len(alpha) != n:
+        raise OrderViolation(f"sigma moves {n} points but alpha moves {len(alpha)}")
+    seen = bytearray(n)
     widths = []
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        e = sigma[alpha[start]]
-        w = 1
-        while e != start:
-            if seen[e]:
-                raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
-                                     f"{e} is an image twice")
-            seen[e] = 1
-            w += 1
-            e = sigma[alpha[e]]
-        widths.append(w)
+    try:
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            e = sigma[alpha[start]]
+            w = 1
+            while e != start:
+                if seen[e]:
+                    raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
+                                         f"{e} is an image twice")
+                seen[e] = 1
+                w += 1
+                e = sigma[alpha[e]]
+            widths.append(w)
+    except IndexError:
+        raise OrderViolation("sigma and alpha must be permutations of 0..n-1") from None
     return widths
 
 
@@ -218,6 +231,7 @@ def _root_code(sigma, alpha, root, best):
     new = [-1] * n                           # old label -> new label
     new[root] = 0
     order = [root]                           # old labels in discovery order
+    k = 1                                    # len(order), the next new label
     sig = [0] * n
     alp = [0] * n
     tied = best is not None
@@ -226,7 +240,8 @@ def _root_code(sigma, alpha, root, best):
         f = sigma[e]
         s = new[f]
         if s < 0:
-            s = new[f] = len(order)
+            s = new[f] = k
+            k += 1
             order.append(f)
         if tied:
             b = best[1 + i]
@@ -236,7 +251,8 @@ def _root_code(sigma, alpha, root, best):
         f = alpha[e]
         a = new[f]
         if a < 0:
-            a = new[f] = len(order)
+            a = new[f] = k
+            k += 1
             order.append(f)
         sig[i] = s
         alp[i] = a
@@ -259,6 +275,11 @@ def _candidate_roots(sigma, alpha):
     else 3.  Every other root's code loses to theirs at byte 1 or 2, so the
     minimal code and all the roots that tie it are among these.  O(n), no
     walk.
+
+    On a torsion-free dessin with loops these roots are the loop edges
+    (sigma alpha r = r) and their alpha partners (alpha r = sigma r), and
+    the first alpha byte tells them apart: it is 1 from a partner, whose
+    alpha image is its sigma image, and 2 from a loop edge.
     """
     fixed = [r for r in range(len(sigma)) if sigma[r] == r]
     if fixed:
@@ -300,6 +321,27 @@ def canonical_form(h):
         elif code is not None:
             best, ties = code, 1
     return best, ties
+
+
+def _is_walk_code(h, code):
+    """Whether a candidate root of the torsion-free dessin h walks to code.
+
+    A canonical code passes iff its dessin is isomorphic to h, so this is
+    an isomorphism test: it stops at the first root that ties code, and a
+    root is abandoned at the first sigma byte above code's.  Only the
+    candidate roots of code's kind are walked (see _candidate_roots), in
+    closed form: the loop partners when code's first alpha byte is 1, else
+    the loop edges, or every root when h has no loop.
+    """
+    sigma, alpha = h.sigma, h.alpha
+    n = len(sigma)
+    if len(code) != 1 + 2 * n or code[0] != n:
+        return False
+    if code[1 + n] == 1:
+        roots = [r for r in range(n) if alpha[r] == sigma[r]]
+    else:
+        roots = [r for r in range(n) if sigma[alpha[r]] == r] or range(n)
+    return any(_root_code(sigma, alpha, r, code) is code for r in roots)
 
 
 def canonical_code(h):

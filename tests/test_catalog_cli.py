@@ -1,9 +1,11 @@
 """Catalog serialization, reports, and the command-line front end."""
 
+import hashlib
 import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -465,13 +467,88 @@ def test_verify_cli_rederives_lift_counts(tmp_path, capsys):
     assert "lift_one_to_one" in err[0]
 
 
+def k12_lift_records():
+    return catalog.add_lift_fields(catalog.expand_records(tf_records(12)))
+
+
+def non_minimal_tf_code(rec):
+    """The least walk code of a candidate root of rec's retraction other
+    than its tf code: it passes the isomorphism test, not canonicity."""
+    h = torsion.tf_retract(from_code(bytes.fromhex(rec.canonical_code)))
+    walks = {hypermap._root_code(h.sigma, h.alpha, root, None).hex()
+             for root in hypermap._candidate_roots(h.sigma, h.alpha)}
+    code = min(walks - {rec.tf_code})
+    assert hypermap._is_walk_code(h, bytes.fromhex(code))
+    return code
+
+
+def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
+    # each torsion record is retracted once and its retraction only tested
+    # against the stored tf code; the canonical walks are one per record
+    # and one per distinct tf code, of the dessin that code decodes to
+    recs = k12_lift_records()
+    path = tmp_path / "k12_lifts.jsonl"
+    catalog.write_records(path, recs)
+    retracts, walked = [], []
+    retract = catalog.tf_retract
+    code, form = catalog.canonical_code, catalog.canonical_form
+    monkeypatch.setattr(catalog, "tf_retract",
+                        lambda h: retracts.append(retract(h)) or retracts[-1])
+    monkeypatch.setattr(catalog, "canonical_code",
+                        lambda h: walked.append(h) or code(h))
+    monkeypatch.setattr(catalog, "canonical_form",
+                        lambda h: walked.append(h) or form(h))
+    assert len(catalog.read_records(path)) == len(recs)
+    torsion_recs = [r for r in recs if r.e2 or r.e3]
+    assert len(retracts) == len(torsion_recs)
+    assert not any(h is r for h in walked for r in retracts)
+    assert len(walked) == len(recs) + len({r.tf_code for r in torsion_recs})
+
+
+def test_read_refuses_a_tf_code_that_is_not_canonical(tmp_path):
+    # the walk code of a non-minimal root of the right retraction passes
+    # the isomorphism test, so only the canonicity check refuses it: when
+    # an earlier line of its class stores the canonical code, when a later
+    # one does, and when none does.  An upper-case copy of the canonical
+    # code is refused too, and so is the canonical tf code of another
+    # class that an earlier line has already stored
+    recs = k12_lift_records()
+    classes = {}
+    for i, r in enumerate(recs):
+        if r.e2 or r.e3:
+            classes.setdefault(r.tf_code, []).append(i)
+    rows = max(classes.values(), key=len)
+    tf_code = recs[rows[0]].tf_code
+    other = non_minimal_tf_code(recs[rows[0]])
+    vouched = next(code for code, seen in classes.items() if seen[0] < rows[-1]
+                   and code != tf_code)
+    path = tmp_path / "k12.jsonl"
+    for tampered, stored in (([rows[1]], other), ([rows[0]], other),
+                             (rows, other), ([rows[0]], tf_code.upper()),
+                             ([rows[-1]], vouched)):
+        lines = [catalog.record_to_json(r) for r in recs]
+        for i in tampered:
+            obj = json.loads(lines[i])
+            obj["tf_code"] = stored
+            lines[i] = json.dumps(obj, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        i = tampered[0]
+        try:
+            catalog.read_records(path)
+            assert False, f"tf_code {stored} was accepted"
+        except ValidationError as exc:
+            assert str(exc) == (f"line {i + 1}: record {recs[i].id}: tf_code "
+                                f"is {stored!r}, the code gives {tf_code!r}")
+
+
 def test_verify_cli_validates_each_record_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())
     calls = []
     validate = catalog.validate_record
     monkeypatch.setattr(catalog, "validate_record",
-                        lambda rec: calls.append(rec.id) or validate(rec))
+                        lambda rec, *args: calls.append(rec.id)
+                        or validate(rec, *args))
     assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 0
     assert sorted(calls) == sorted(r.id for r in k6_records())
 
@@ -621,3 +698,108 @@ def test_full_catalog_is_the_concatenated_cli_files(tmp_path, full_catalog):
     path = tmp_path / "api.jsonl"
     catalog.write_records(path, full_catalog())
     assert path.read_bytes() == b"".join(parts)
+
+
+def golden_outputs(path, records, monkeypatch):
+    """sha256 of (exit status, stdout, stderr) of each golden CLI case.
+
+    The clean catalog at path is read once for real and the commands on
+    it share that read, so the table costs about 1.5 s.  Every tampered
+    file is read afresh and fails at its line.
+    """
+    def digest(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = cli.main(argv + ["--in", str(path)])
+        text = json.dumps([status, out.getvalue(), err.getvalue()])
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    got = {}
+    read = catalog.read_records(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "read_records",
+                      lambda _: [replace(rec) for rec in read])
+        for table in sorted(catalog.REPORTS):
+            got[f"report {table}"] = digest(["report", "--table", table])
+        got["verify"] = digest(["verify", "--samples", "100"])
+        for rec_id in ("4,1,1-A", "10,10,1,1,1,1-A", "6-A"):
+            got[f"export-dot {rec_id}"] = digest(["export-dot", "--id", rec_id])
+
+    lines = [catalog.record_to_json(r) for r in records]
+
+    def edited(i, **fields):
+        obj = json.loads(lines[i])
+        obj.update(fields)
+        return lines[:i] + [json.dumps(obj)] + lines[i + 1:]
+
+    upper = next(i for i, line in enumerate(lines)
+                 if re.search(r'"canonical_code":"[0-9]*[a-f]', line))
+    lie = next(i for i, r in enumerate(records) if r.id == "8-D")
+    tors = next(i for i, r in enumerate(records)
+                if (r.e2 or r.e3) and r.tf_code != r.tf_code.upper())
+    cases = {
+        "relabelled swap": (relabelled_swap(records), "totals"),
+        "empty code": (edited(0, canonical_code="00"), "k6"),
+        "lift lie": (edited(lie, lift_one_to_one=records[lie].lift_one_to_one + 3),
+                     "totals"),
+        "upper-case code": (edited(upper, canonical_code=records[upper]
+                                   .canonical_code.upper()), "k6"),
+        "non-minimal tf code": (edited(tors, tf_code=non_minimal_tf_code(
+            records[tors])), "k12"),
+        "upper-case tf code": (edited(tors, tf_code=records[tors]
+                                      .tf_code.upper()), "k12"),
+    }
+    for name, (tampered, table) in cases.items():
+        path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        got[name] = digest(["report", "--table", table])
+    got["verify upper-case tf code"] = digest(["verify", "--samples", "5"])
+    return got
+
+
+# Each changes only by a deliberate change of the CLI output, declared in
+# CHANGES.md.
+GOLDEN = {
+    "report k12":
+        "eaf9805c4b80c9a9ab37cb0918c1d2acdc121ddbc727c603533412db5e025557",
+    "report k18":
+        "bddfb5e93f72681c03ca798b371567413271613076782071e290ca1ff03e2f83",
+    "report k24":
+        "5384d3c48e16c8b04b4376d2dbdb943e6d15f7c8ceabdf76a950769098c62629",
+    "report k24sym":
+        "651f939414fbb11b36e647066d6e9c28c4575a5ceefed76b015ebe85e2fc6256",
+    "report k6":
+        "f8e7592480c673c4036ee82113ded9815c1435f3aa04d921eccee890703b0a72",
+    "report tf-counts":
+        "829c3a4e362b70c82e51e73a31acdcb6cc623c0f12c706f66bac03b8add386f4",
+    "report totals":
+        "57437e9c00dd705e08f038837d41afc966fc5aa76beaf0dc494f89cc3916f195",
+    "verify":
+        "938724cb564387201cb5408fe1e2be3a5d32403a10699bb62068a78b043fbab1",
+    "export-dot 4,1,1-A":
+        "d6e1de5a1db1fa4e2ff02d16b45a8898785c9211b6f6ef4ffb92995e15bee7df",
+    "export-dot 10,10,1,1,1,1-A":
+        "aa88357a3620905bd406a35fe849523d80dd8a395b667c6dc62ad80835cee014",
+    "export-dot 6-A":
+        "6e6cb493fbeaf0ea31c04a503216e561c8dd84a7d7c8ad19b3f77ea2e7468fb8",
+    "relabelled swap":
+        "d006616f52fe2cff30330d40fa24f200834ffcd0c0c10fd3786328d107084c38",
+    "empty code":
+        "0ab859e781ceeae1580406d42315b00fc09e8afa0873679b4ad3c6b78d0b46d2",
+    "lift lie":
+        "60139e15950a4c9b9c730ac5a4db26ec87aa7671e43183e83c5c4777db178cc7",
+    "upper-case code":
+        "d75bd2401233a4e238240d5f519f6b8661e789e89f36e443d655c23596868919",
+    "non-minimal tf code":
+        "e5eaacc289f0a1e61f6df174546256fd7f7fbc86c3fb40719bb1e7ab759b9071",
+    "upper-case tf code":
+        "f46f5e2e3713fd6ce4fd7892a2b8af2278977cbd197ea8e7f955184e69a50835",
+    "verify upper-case tf code":
+        "f46f5e2e3713fd6ce4fd7892a2b8af2278977cbd197ea8e7f955184e69a50835",
+}
+
+
+def test_cli_output_matches_the_golden_table(tmp_path, full_catalog, monkeypatch):
+    path = tmp_path / "full.jsonl"
+    records = full_catalog()
+    catalog.write_records(path, records)
+    assert golden_outputs(path, records, monkeypatch) == GOLDEN

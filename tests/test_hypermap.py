@@ -241,6 +241,18 @@ def test_walks_refuse_a_pair_that_is_not_a_permutation():
             assert False, f"{fn.__name__} walked a non-permutation"
         except OrderViolation:
             pass
+    # an image past n and unequal lengths are no permutation pair either,
+    # and the empty pair is no dessin: the face walk names each as validate
+    # does
+    for pair, error in ((Hypermap((3, 0, 1), (0, 1, 2)), OrderViolation),
+                        (Hypermap((0, 1), (0,)), OrderViolation),
+                        (Hypermap((), ()), NotTransitive)):
+        for fn in (subgroup_type, cusp_widths, loop_count, validate):
+            try:
+                fn(pair)
+                assert False, f"{fn.__name__} accepted {pair}"
+            except error:
+                pass
 
 
 def test_subgroup_type_refuses_a_non_dessin():

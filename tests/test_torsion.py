@@ -10,6 +10,7 @@ import modk3
 from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.generate import enumerate_classes
 from modk3.hypermap import (
+    _candidate_roots, _is_walk_code, _reach_count, _root_code,
     automorphism_group, canonical_code, cusp_widths, subgroup_type, validate,
     Hypermap,
 )
@@ -18,7 +19,7 @@ from modk3.torsion import (
     tf_retract,
 )
 
-from helpers import perm_from_cycles
+from helpers import perm_from_cycles, relabel
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
                 perm_from_cycles(6, (1, 2), (0, 3), (4, 5)))
@@ -149,6 +150,32 @@ def test_retract_undoes_any_substitution(h, data):
     back = tf_retract(sub)
     validate(back)
     assert canonical_code(back) == canonical_code(h), choice
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsion_free_pairs(), st.data())
+def test_walk_code_test_decides_isomorphism(h, data):
+    # a read checks a retraction against its stored tf code with
+    # _is_walk_code instead of a canonical walk; it must accept the
+    # canonical code of any relabelling and the walk code of every candidate
+    # root (so the loop-edge/partner filter drops none), and refuse the
+    # canonical code of another class of the same index.  A retraction
+    # always has loops; the loopless draws check the other branch
+    g = relabel(h, tuple(data.draw(st.permutations(range(h.n)))))
+    code = canonical_code(h)
+    assert _is_walk_code(g, code)
+    for root in _candidate_roots(g.sigma, g.alpha):
+        assert _is_walk_code(g, _root_code(g.sigma, g.alpha, root, None))
+    # another pair of the same index: swap the partners of two alpha 2-cycles
+    a, c = data.draw(st.lists(st.integers(0, h.n - 1), min_size=2,
+                              max_size=2, unique=True))
+    b, d = h.alpha[a], h.alpha[c]
+    if b != c:
+        alpha = list(h.alpha)
+        alpha[a], alpha[c], alpha[b], alpha[d] = c, a, d, b
+        if _reach_count(h.sigma, alpha) == h.n:
+            other = canonical_code(Hypermap(h.sigma, alpha))
+            assert _is_walk_code(g, other) == (other == code)
 
 
 def test_expand_411():
