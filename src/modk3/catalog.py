@@ -50,14 +50,15 @@ class DessinRecord:
 def record_from_hypermap(h, tf_code=None):
     """Build an (id-less) record; tf_code is computed unless supplied.
 
-    The code and aut_order come from one canonical walk (canonical_form),
-    and the type, cusp widths and loop count from one face walk.  A
-    torsion-free dessin is its own retraction, so its tf_code is its own
-    code; only a torsion dessin is retracted and walked a second time.
+    The code and aut_order, the number of roots that tie it, come from one
+    canonical walk (canonical_form), and the type, cusp widths and loop
+    count from one face walk.  A torsion-free dessin is its own retraction,
+    so its tf_code is its own code; only a torsion dessin is retracted and
+    walked a second time.
     """
     widths = _face_widths(h)
     t = _type_with_faces(h, len(widths))
-    code, aut_order = canonical_form(h)
+    code, roots = canonical_form(h)
     if tf_code is None:
         tf_code = (code if t.e2 == t.e3 == 0
                    else canonical_code(tf_retract(h))).hex()
@@ -66,7 +67,7 @@ def record_from_hypermap(h, tf_code=None):
         canonical_code=code.hex(),
         index=t.n, genus=t.g, h=t.h, e2=t.e2, e3=t.e3,
         cusp_widths=sorted(widths, reverse=True),
-        aut_order=aut_order,
+        aut_order=len(roots),
         loop_count=widths.count(1),
         tf_code=tf_code,
         assignment={"white": t.e3, "black": t.e2})
@@ -172,7 +173,7 @@ def _checked_tf_code(h, stored, tf_codes):
     return canonical_code(retract).hex()
 
 
-def validate_record(rec, tf_codes=None):
+def validate_record(rec, tf_codes):
     """Rebuild the record from its canonical code and compare every field
     but id with the stored one.
 
@@ -181,9 +182,9 @@ def validate_record(rec, tf_codes=None):
     record's tf_code is checked by an isomorphism test against its
     retraction, and its canonicity once per distinct tf code: tf_codes is
     the set of tf codes already proved canonical, which read_records keeps
-    for one read (without it, each call proves canonicity afresh).  A
-    record that stores any lift count must store the pair the lift rules
-    give, so counts on a class outside the K3 range are refused too.
+    for one read.  A record that stores any lift count must store the pair
+    the lift rules give, so counts on a class outside the K3 range are
+    refused too.
     """
     def bad(msg):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
@@ -194,8 +195,7 @@ def validate_record(rec, tf_codes=None):
         # dessin is its own retraction, so both paths derive the same code
         tf_code = None
         if rec.e2 or rec.e3:
-            tf_code = _checked_tf_code(
-                h, rec.tf_code, set() if tf_codes is None else tf_codes)
+            tf_code = _checked_tf_code(h, rec.tf_code, tf_codes)
         want = record_from_hypermap(h, tf_code=tf_code)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")

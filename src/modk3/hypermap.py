@@ -14,9 +14,10 @@ Permutations are tuples of images: p[i] is the image of i.
 
 Here: permutation helpers, the Hypermap pair and its validation, the
 type (n; g, h, e2, e3) and cusp widths from one face walk, the canonical
-code with |Aut| from one walk over the candidate roots, the test of a
-torsion-free dessin against a given code that stops at the first tying
-root, and the automorphism group with its action on faces and loops.
+code with the roots that tie it from one walk over the candidate roots,
+the test of a torsion-free dessin against a given code that stops at the
+first tying root, and the automorphism group those tying roots give, with
+its action on faces and loops.
 """
 
 from collections import namedtuple
@@ -25,10 +26,6 @@ from .errors import DomainError, NotTransitive, OrderViolation
 
 
 # ------------------------------------------------------------- permutations
-
-def identity_perm(n):
-    return tuple(range(n))
-
 
 def compose(p, q):
     """(p*q)(x) = p(q(x)) -- q acts first."""
@@ -49,19 +46,22 @@ def cycles(p):
     """
     seen = [False] * len(p)
     out = []
-    for x in range(len(p)):
-        if seen[x]:
-            continue
-        cyc = [x]
-        seen[x] = True
-        y = p[x]
-        while y != x:
-            if seen[y]:
-                raise OrderViolation(f"not a permutation: {y} is an image twice")
-            seen[y] = True
-            cyc.append(y)
-            y = p[y]
-        out.append(tuple(cyc))
+    try:
+        for x in range(len(p)):
+            if seen[x]:
+                continue
+            cyc = [x]
+            seen[x] = True
+            y = p[x]
+            while y != x:
+                if seen[y]:
+                    raise OrderViolation(f"not a permutation: {y} is an image twice")
+                seen[y] = True
+                cyc.append(y)
+                y = p[y]
+            out.append(tuple(cyc))
+    except IndexError:
+        raise OrderViolation(f"not a permutation: an image lies past {len(p) - 1}") from None
     return out
 
 
@@ -119,18 +119,19 @@ def validate(h):
             raise OrderViolation(f"sigma^3 != id at edge {e}")
         if h.alpha[h.alpha[e]] != e:
             raise OrderViolation(f"alpha^2 != id at edge {e}")
-    count = _reach_count(h.sigma, h.alpha)
+    count = len(_reach_order(h.sigma, h.alpha, 0))
     if count != n:
         raise NotTransitive(f"dessin splits: {count} of {n} edges reachable from edge 0")
     return h
 
 
-def _reach_count(sigma, alpha):
-    """Number of edges reachable from edge 0; <sigma, alpha> is transitive
-    iff it equals n."""
+def _reach_order(sigma, alpha, root):
+    """Edges reachable from root in breadth-first discovery order, sigma
+    image before alpha image: the order _root_code relabels by.
+    <sigma, alpha> is transitive iff all n edges are reached."""
     seen = bytearray(len(sigma))
-    seen[0] = 1
-    reached = [0]
+    seen[root] = 1
+    reached = [root]
     for e in reached:                # the loop also visits what it appends
         f = sigma[e]
         if not seen[f]:
@@ -140,7 +141,7 @@ def _reach_count(sigma, alpha):
         if not seen[f]:
             seen[f] = 1
             reached.append(f)
-    return len(reached)
+    return reached
 
 
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
@@ -292,7 +293,7 @@ def _candidate_roots(sigma, alpha):
 
 
 def canonical_form(h):
-    """(canonical code, |Aut|) of a dessin from one walk over its roots.
+    """(canonical code, tying roots) of a dessin from one walk over its roots.
 
     The code is the lexicographic minimum over all n roots of the
     breadth-first relabeling code of _root_code: bytes([n]) + sigma images
@@ -300,9 +301,10 @@ def canonical_form(h):
     since every other root loses at sigma byte 1 or 2, and a walked root is
     abandoned at the first byte that loses to the best code so far.  Two
     roots give the same code iff an automorphism maps one to the other, and
-    Aut acts freely on the edges of a transitive pair, so the candidates
-    that tie the minimum number |Aut|.  Raises NotTransitive (or
-    OrderViolation) on a pair that is not a dessin.
+    Aut acts freely on the edges of a transitive pair, so the ascending
+    candidates that tie the minimum are the Aut-orbit of the first of them
+    and number |Aut|.  Raises NotTransitive (or OrderViolation) on a pair
+    that is not a dessin.
     """
     sigma, alpha = h.sigma, h.alpha
     try:
@@ -313,13 +315,13 @@ def canonical_form(h):
         # (there is no root at all when n = 0); validate names the error
         validate(h)
         raise
-    ties = 1
+    ties = [roots[0]]
     for root in roots[1:]:
         code = _root_code(sigma, alpha, root, best)
         if code is best:
-            ties += 1
+            ties.append(root)
         elif code is not None:
-            best, ties = code, 1
+            best, ties = code, [root]
     return best, ties
 
 
@@ -329,19 +331,18 @@ def _is_walk_code(h, code):
     A canonical code passes iff its dessin is isomorphic to h, so this is
     an isomorphism test: it stops at the first root that ties code, and a
     root is abandoned at the first sigma byte above code's.  Only the
-    candidate roots of code's kind are walked (see _candidate_roots), in
-    closed form: the loop partners when code's first alpha byte is 1, else
-    the loop edges, or every root when h has no loop.
+    candidate roots of code's kind are walked: those of _candidate_roots
+    whose first alpha byte is code's, which is 1 exactly from a loop
+    partner (alpha r = sigma r).
     """
     sigma, alpha = h.sigma, h.alpha
     n = len(sigma)
     if len(code) != 1 + 2 * n or code[0] != n:
         return False
-    if code[1 + n] == 1:
-        roots = [r for r in range(n) if alpha[r] == sigma[r]]
-    else:
-        roots = [r for r in range(n) if sigma[alpha[r]] == r] or range(n)
-    return any(_root_code(sigma, alpha, r, code) is code for r in roots)
+    partner = code[1 + n] == 1
+    return any(_root_code(sigma, alpha, r, code) is code
+               for r in _candidate_roots(sigma, alpha)
+               if (alpha[r] == sigma[r]) == partner)
 
 
 def canonical_code(h):
@@ -366,41 +367,26 @@ AutomorphismGroup = namedtuple(
     "AutomorphismGroup", "order elements faces face_action loops loop_action")
 
 
-def _extend_map(h, t):
-    """Grow 0 -> t into a permutation commuting with sigma and alpha, or None."""
-    n, sigma, alpha = h.n, h.sigma, h.alpha
-    psi = [-1] * n
-    psi[0] = t
-    todo = [0]
-    while todo:
-        e = todo.pop()
-        for src, img in ((sigma[e], sigma[psi[e]]), (alpha[e], alpha[psi[e]])):
-            if psi[src] < 0:
-                psi[src] = img
-                todo.append(src)
-            elif psi[src] != img:
-                return None
-    if len(set(psi)) != n:
-        return None
-    return tuple(psi)
-
-
 def automorphism_group(h):
     """All psi with psi*sigma = sigma*psi and psi*alpha = alpha*psi.
 
-    Transitivity pins psi once psi(0) is chosen, so the n candidates are
-    tried directly.  The induced actions on faces and on loops (width-1
-    faces, in ascending edge order -- the same order torsion.loops uses)
-    come along for the ride.
+    The roots that tie the canonical code all relabel h into the same
+    dessin, so the map sending the discovery order from the first of them
+    onto the order from each one is an automorphism, and these are all of
+    them.  The elements are sorted, which puts the identity first.  The
+    induced actions on faces and on loops (width-1 faces, in ascending edge
+    order -- the same order torsion.loops uses) come along for the ride.
     """
+    sigma, alpha = h.sigma, h.alpha
+    _, roots = canonical_form(h)
+    orders = [_reach_order(sigma, alpha, root) for root in roots]
     els = []
-    for t in range(h.n):
-        psi = _extend_map(h, t)
-        if psi is not None:
-            els.append(psi)
-    if not els or els[0] != identity_perm(h.n) or h.n % len(els):
-        # on a transitive action the identity extends and |Aut| divides n
-        raise NotTransitive(f"{len(els)} automorphisms on {h.n} edges")
+    for order in orders:
+        psi = [0] * h.n
+        for e, image in zip(orders[0], order):
+            psi[e] = image
+        els.append(tuple(psi))
+    els.sort()
 
     faces = cycles(h.phi())
     face_of = {}

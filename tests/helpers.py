@@ -1,6 +1,8 @@
 """Reference code that only the tests use.
 
-The brute-force oracle and the rooted counts cross-check the search;
+The brute-force oracle and the rooted counts cross-check the search, and
+reference_automorphisms (every image of edge 0 tried through _extend_map)
+cross-checks the automorphism group that the canonical walk gives;
 cycle notation, relabelling and white-vertex typing build and inspect
 test dessins; word_perm and member_sign push S/T words through a coset
 action.  None of it is on a path that a command, the package API or the
@@ -10,8 +12,8 @@ benchmark runs, so it lives here rather than in modk3.
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _check_constraints, _classes_at
 from modk3.hypermap import (
-    Hypermap, _reach_count, automorphism_group, canonical_code, compose,
-    cycles, identity_perm, inverse, subgroup_type,
+    Hypermap, _reach_order, canonical_code, compose, cycles, inverse,
+    subgroup_type,
 )
 from modk3.slwords import coset_action, word_of_matrix
 
@@ -19,6 +21,10 @@ ORACLE_MAX = 12
 
 
 # ------------------------------------------------------------- hypermaps
+
+def identity_perm(n):
+    return tuple(range(n))
+
 
 def perm_from_cycles(n, *cycs):
     """Permutation of 0..n-1 from cycle notation; omitted points are fixed."""
@@ -62,15 +68,42 @@ def white_vertex_types(h):
     return out
 
 
+def _extend_map(h, t):
+    """Grow 0 -> t into a permutation commuting with sigma and alpha, or None."""
+    n, sigma, alpha = h.n, h.sigma, h.alpha
+    psi = [-1] * n
+    psi[0] = t
+    todo = [0]
+    while todo:
+        e = todo.pop()
+        for src, img in ((sigma[e], sigma[psi[e]]), (alpha[e], alpha[psi[e]])):
+            if psi[src] < 0:
+                psi[src] = img
+                todo.append(src)
+            elif psi[src] != img:
+                return None
+    if len(set(psi)) != n:
+        return None
+    return tuple(psi)
+
+
+def reference_automorphisms(h):
+    """Aut of a dessin by trying all n images of edge 0, ascending by
+    that image (so the identity comes first); O(n^2)."""
+    return tuple(psi for t in range(h.n)
+                 if (psi := _extend_map(h, t)) is not None)
+
+
 # ------------------------------------------------------------ enumeration
 
 def rooted_count(classes):
-    """Number of rooted dessins (= subgroups, not classes): sum of n/|Aut|."""
+    """Number of rooted dessins (= subgroups, not classes): sum of n/|Aut|,
+    with |Aut| from the reference, not from the canonical walk."""
     if len({h.n for h in classes}) > 1:
         raise DomainError("classes must share one index")
     total = 0
     for h in classes:
-        total += h.n // automorphism_group(h).order
+        total += h.n // len(reference_automorphisms(h))
     return total
 
 
@@ -130,7 +163,7 @@ def brute_force_oracle(n, genus_filter=None, torsion_free=False):
         for i in range(two_cycles):
             alpha[2 * i], alpha[2 * i + 1] = 2 * i + 1, 2 * i
         for sigma in _order3_perms(n, allow_fixed=not torsion_free):
-            if _reach_count(sigma, alpha) != n:
+            if len(_reach_order(sigma, alpha, 0)) != n:
                 continue
             h = Hypermap(sigma, alpha)
             if genus_filter is not None and subgroup_type(h).g != genus_filter:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from modk3 import catalog, cli, hypermap, torsion
+from modk3 import catalog, cli, hypermap, lifts, torsion
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
 from modk3.hypermap import Hypermap, canonical_code, from_code, validate
 
@@ -222,7 +222,7 @@ def test_validation_refuses_a_tf_index_past_one_byte():
     rec = catalog.DessinRecord("chain", code, 240, 0, 1, 82, 0, [240], 1, 0,
                                "00", {"white": 0, "black": 82})
     try:
-        catalog.validate_record(rec)
+        catalog.validate_record(rec, set())
         assert False, "a record past the tf index range was accepted"
     except ValidationError as exc:
         assert "does not rebuild a record" in str(exc)
@@ -396,19 +396,27 @@ def test_verify_cli_reports_counts(tmp_path, capsys):
     assert "6 records" in out and "50 matrix samples" in out
 
 
-def test_read_and_build_need_no_automorphism_group(tmp_path, monkeypatch):
-    # aut_order comes from the canonical walk, so neither the read path
-    # nor the record build calls automorphism_group
+def test_only_star_orbit_lift_rules_call_automorphism_group(
+        tmp_path, monkeypatch, full_catalog):
+    # aut_order comes from the canonical walk, so the record build calls
+    # automorphism_group nowhere and a read only where a tf record's lift
+    # rule counts star orbits; every namespace that binds the name counts
+    calls = []
+    group = hypermap.automorphism_group
+    for module in (hypermap, catalog, lifts, torsion):
+        monkeypatch.setattr(module, "automorphism_group",
+                            lambda h: calls.append(h) or group(h))
     path = tmp_path / "k6_lifts.jsonl"
     catalog.write_records(path, k6_records())
-
-    def boom(h):
-        raise AssertionError("automorphism_group was called")
-
-    monkeypatch.setattr(hypermap, "automorphism_group", boom)
-    monkeypatch.setattr(catalog, "automorphism_group", boom)
+    del calls[:]
     assert len(catalog.read_records(path)) == 6
+    assert len(calls) == 2
+    del calls[:]
     assert len(catalog.enumerate_records(12)) == 80
+    assert calls == []
+    catalog.write_records(path, full_catalog())
+    assert len(catalog.read_records(path)) == 3228
+    assert len(calls) == 38
 
 
 def test_read_validates_each_dessin_once(tmp_path, monkeypatch):
@@ -803,3 +811,96 @@ def test_cli_output_matches_the_golden_table(tmp_path, full_catalog, monkeypatch
     records = full_catalog()
     catalog.write_records(path, records)
     assert golden_outputs(path, records, monkeypatch) == GOLDEN
+
+
+def write_path_outputs(tmp_path):
+    """sha256 of (exit status, stdout, stderr, file written) of each write
+    command: enumerate -> expand -> lifts of the tf genus-0 stratum at
+    6/12/18/24, and enumerate with no filter at 1..17 to stdout."""
+    def digest(argv, out=None):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            status = cli.main(argv)
+        written = None if out is None else out.read_text(encoding="utf-8")
+        text = json.dumps([status, stdout.getvalue(), stderr.getvalue(), written])
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    got = {}
+    for n in (6, 12, 18, 24):
+        tf, k, kl = (tmp_path / f"{name}{n}.jsonl" for name in ("tf", "k", "kl"))
+        got[f"enumerate {n}"] = digest(
+            ["enumerate", "--index", str(n), "--torsion-free", "--genus", "0",
+             "--out", str(tf)], tf)
+        got[f"expand {n}"] = digest(["expand", "--in", str(tf), "--out", str(k)], k)
+        got[f"lifts {n}"] = digest(["lifts", "--in", str(k), "--out", str(kl)], kl)
+    for n in range(1, 18):
+        got[f"enumerate --index {n}"] = digest(["enumerate", "--index", str(n)])
+    return got
+
+
+# Computed before the automorphism group was built from the canonical
+# walk; each changes only by a deliberate change of the CLI output.
+WRITE_GOLDEN = {
+    "enumerate 6":
+        "5a41ee65e405b82862071b4319e0a809b771bb077f6a656f010c1e391efd57f2",
+    "expand 6":
+        "46819632e6561cf88b3924cda67c187d5c71c34a97b80811452dfd1b908b1f41",
+    "lifts 6":
+        "5ff7a73aa8d8b739a56c955839250f5e5d4295e9c545d9c5298c836838f45fae",
+    "enumerate 12":
+        "0853eaf6d949993a8e4b7a21392255f3a14339ad827d924ef92fc913441b0b7a",
+    "expand 12":
+        "346ca6107093257e32c468c7850654b3691e786aebe16578366e10ba5d255610",
+    "lifts 12":
+        "bd06b4cb6ebe1cd404145d8b8ca5af8935a177f000867abc55a590fcc42292d8",
+    "enumerate 18":
+        "32298a18eb2191aadddc092ba751fb650d5b78a331517b097a48c71ec8ef00d8",
+    "expand 18":
+        "dd25a059ef10bbb0f2bfb267c57108aed0505e000281e80acd55f1605cad54f4",
+    "lifts 18":
+        "771abb9e8165f44df2c90ce7eb4e934563c27ade43c4862623c52c239a5dfa4a",
+    "enumerate 24":
+        "5ca575357c0187959c9ab7b11dbdf661a1f94ea851f3d8064246014af82009a6",
+    "expand 24":
+        "e70ca48f97ebfa1188c3f30c1915e97d1ff9eb3d1583d2425f9fbe5e8e4a29a7",
+    "lifts 24":
+        "e7ab2a94577a2e12efdb4995255df32550ea3866a0801b724283b3672b4ef611",
+    "enumerate --index 1":
+        "d6784224dce8b8e453996240897fdfaa4998d608c94e32c1776ae7d6ae380f0c",
+    "enumerate --index 2":
+        "fcd78fb08937ac5b0249d988fb16290782e086f6e0bad2595fb31e61c7ab51c1",
+    "enumerate --index 3":
+        "55753a06695662a33118c6bc0c9faadcbb323c95e8ed0e8fcd296c6075b08b8e",
+    "enumerate --index 4":
+        "ec45789bcabfdbbe98f8b2f5847625240d054588296b3052f112885c457d24f8",
+    "enumerate --index 5":
+        "634c584526d642a5131466b3c8673d5b83bea492cad29b109924d3d89155a6bf",
+    "enumerate --index 6":
+        "953f9a840f320f8cae3587d51ed09be4c24a8876c0699617018b3fad415605bf",
+    "enumerate --index 7":
+        "291a9340ea31915cfba4dc576d6437980ce2b987bb2cddbe6dc7ee187d61e93b",
+    "enumerate --index 8":
+        "e0b9740a29b5f9418ffffccff1ad170047772acd0d8affe87429d76e53dffe82",
+    "enumerate --index 9":
+        "75f72305f5e2b3737a4d47fb96e80a544a9afe47abebeb4c157b941a17c0be52",
+    "enumerate --index 10":
+        "8a7796bf0b21cc61e17180287af5558fd915857b68cbfad530220a45670db792",
+    "enumerate --index 11":
+        "f1779aab37267caebdbd938e7d1e97f1bf60e5ea5eb72010b28dd2a7342201f1",
+    "enumerate --index 12":
+        "a178413a95e95374e08624195a26091fe3505f96d6a7301fccdb0df3253a7699",
+    "enumerate --index 13":
+        "f33ef77d8c8b9a3e460d57fc069fa8c51067f45f23238df77bdeab229f027d7f",
+    "enumerate --index 14":
+        "57ce2b9a12b1d45fc0a3d9c38d3f433eb5940fd30cace33010a0f034196e025e",
+    "enumerate --index 15":
+        "8ac325c04176c24bf3c3cd0a5a513525fe58c714b148ea664c0b3d6dd76015ee",
+    "enumerate --index 16":
+        "ea443e034a56c37fbe184b4767922666cd423fac46596519a68d54d50292444f",
+    "enumerate --index 17":
+        "9223ad07fbfd9979bf6f18935be93f26af84bd8572353278b9bf4a5836c988d6",
+}
+
+
+def test_cli_write_path_matches_the_golden_table(tmp_path):
+    assert write_path_outputs(tmp_path) == WRITE_GOLDEN

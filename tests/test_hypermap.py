@@ -8,10 +8,13 @@ from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _candidate_roots, automorphism_group, canonical_code,
     canonical_form, compose, cusp_widths, cycle_type, cycles, fixed_points,
-    from_code, identity_perm, inverse, loop_count, subgroup_type, validate,
+    from_code, inverse, loop_count, subgroup_type, validate,
 )
 
-from helpers import perm_from_cycles, relabel, white_vertex_types
+from helpers import (
+    identity_perm, perm_from_cycles, reference_automorphisms, relabel,
+    white_vertex_types,
+)
 
 # Hand-built reference dessins -------------------------------------------
 #
@@ -244,15 +247,22 @@ def test_walks_refuse_a_pair_that_is_not_a_permutation():
     # an image past n and unequal lengths are no permutation pair either,
     # and the empty pair is no dessin: the face walk names each as validate
     # does
-    for pair, error in ((Hypermap((3, 0, 1), (0, 1, 2)), OrderViolation),
+    past_n = Hypermap((3, 0, 1), (0, 1, 2))
+    for pair, error in ((past_n, OrderViolation),
                         (Hypermap((0, 1), (0,)), OrderViolation),
                         (Hypermap((), ()), NotTransitive)):
-        for fn in (subgroup_type, cusp_widths, loop_count, validate):
+        for fn in (subgroup_type, cusp_widths, loop_count, validate,
+                   automorphism_group):
             try:
                 fn(pair)
                 assert False, f"{fn.__name__} accepted {pair}"
             except error:
                 pass
+    try:
+        cycles(past_n.sigma)
+        assert False, "cycles walked an image past n"
+    except OrderViolation:
+        pass
 
 
 def test_subgroup_type_refuses_a_non_dessin():
@@ -334,8 +344,12 @@ def test_canonical_code_matches_reference(h, data):
     p = data.draw(st.permutations(range(h.n)))
     for g in (h, relabel(h, tuple(p))):
         assert canonical_code(g) == want
-        # the roots that tie the minimal code are one free Aut-orbit
-        assert canonical_form(g) == (want, automorphism_group(g).order)
+        # the roots that tie the minimal code are one free Aut-orbit, and
+        # the group built from them is the reference's, identity first
+        code, roots = canonical_form(g)
+        reference = reference_automorphisms(g)
+        assert code == want and len(roots) == len(reference)
+        assert automorphism_group(g).elements == reference
         # the filter keeps exactly the roots with the least two sigma
         # bytes, so every root that reaches the minimum survives it
         codes = [reference_root_code(g, root) for root in range(g.n)]
@@ -343,6 +357,14 @@ def test_canonical_code_matches_reference(h, data):
         candidates = _candidate_roots(g.sigma, g.alpha)
         assert candidates == [r for r in range(g.n) if codes[r][1:3] == least]
         assert all(r in candidates for r in range(g.n) if codes[r] == want)
+
+
+def test_automorphism_group_matches_the_reference_on_the_catalog(full_catalog):
+    for rec in full_catalog():
+        h = from_code(bytes.fromhex(rec.canonical_code))
+        aut = automorphism_group(h)
+        assert aut.elements == reference_automorphisms(h), rec.id
+        assert aut.order == rec.aut_order, rec.id
 
 
 @settings(max_examples=200, deadline=None)

@@ -53,7 +53,7 @@ def test_one_transitivity_walk_and_one_tf_index():
              for mod in mods for name, fn in vars(mod).items()
              if inspect.isfunction(fn) and fn.__module__ == mod.__name__]
     assert [n for n in names if "transitive" in n or "reach" in n] == \
-        ["modk3.hypermap._reach_count"]
+        ["modk3.hypermap._reach_order"]
     assert [n for n in names if "tf_index" in n] == ["modk3.lifts.tf_index"]
 
 

@@ -10,7 +10,7 @@ import modk3
 from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.generate import enumerate_classes
 from modk3.hypermap import (
-    _candidate_roots, _is_walk_code, _reach_count, _root_code,
+    _candidate_roots, _is_walk_code, _reach_order, _root_code,
     automorphism_group, canonical_code, cusp_widths, subgroup_type, validate,
     Hypermap,
 )
@@ -173,7 +173,7 @@ def test_walk_code_test_decides_isomorphism(h, data):
     if b != c:
         alpha = list(h.alpha)
         alpha[a], alpha[c], alpha[b], alpha[d] = c, a, d, b
-        if _reach_count(h.sigma, alpha) == h.n:
+        if len(_reach_order(h.sigma, alpha, 0)) == h.n:
             other = canonical_code(Hypermap(h.sigma, alpha))
             assert _is_walk_code(g, other) == (other == code)
 
