@@ -11,7 +11,7 @@ with that partition in canonical-code order ("4,1,1-A").
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DomainError, IncompleteCatalog, Modk3Error, ParseError, ValidationError,
@@ -28,23 +28,8 @@ FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
           "cusp_widths", "aut_order", "loop_count", "tf_code", "assignment",
           "lift_one_to_one", "lift_two_to_one")
 
-
-@dataclass
-class DessinRecord:
-    id: str
-    canonical_code: str
-    index: int
-    genus: int
-    h: int
-    e2: int
-    e3: int
-    cusp_widths: list
-    aut_order: int
-    loop_count: int
-    tf_code: str
-    assignment: dict
-    lift_one_to_one: int = None
-    lift_two_to_one: int = None
+# immutable: _replace derives a changed copy; the lift counts default to None
+DessinRecord = namedtuple("DessinRecord", FIELDS, defaults=(None, None))
 
 
 def record_from_hypermap(h, tf_code=None):
@@ -88,21 +73,21 @@ def _partition(rec):
 
 
 def assign_ids(records):
-    """Sort by canonical code and hand out partition-plus-letter ids."""
-    records.sort(key=lambda r: r.canonical_code)
+    """The records sorted by canonical code, each with its
+    partition-plus-letter id."""
     counter = {}
-    for rec in records:
+    out = []
+    for rec in sorted(records, key=lambda r: r.canonical_code):
         label = _partition(rec)
         counter[label] = counter.get(label, 0) + 1
-        rec.id = f"{label}-{_letters(counter[label] - 1)}"
-    return records
+        out.append(rec._replace(id=f"{label}-{_letters(counter[label] - 1)}"))
+    return out
 
 
 # ----------------------------------------------------------------- JSONL io
 
 def record_to_json(rec):
-    obj = {name: getattr(rec, name) for name in FIELDS}
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(rec._asdict(), separators=(",", ":"))
 
 
 _FIELD_SET = frozenset(FIELDS)
@@ -144,7 +129,7 @@ def _parse_record(obj, lineno):
     for name in ("lift_one_to_one", "lift_two_to_one"):
         if obj[name] is not None and type(obj[name]) is not int:
             raise _field_error(lineno, name, "an integer or null")
-    return DessinRecord(*[obj[name] for name in FIELDS])
+    return DessinRecord._make([obj[name] for name in FIELDS])
 
 
 def _checked_tf_code(h, stored, tf_codes):
@@ -199,17 +184,17 @@ def validate_record(rec, tf_codes):
         want = record_from_hypermap(h, tf_code=tf_code)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
+    lift_pair = (None, None)
     if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
         try:
-            want.lift_one_to_one, want.lift_two_to_one, _ = lift_profile(want)
+            lift_pair = lift_profile(want)[:2]
         except Modk3Error as exc:
             bad(f"stores lift counts, but the lift rules give none ({exc})")
-    want.id = rec.id
-    if want != rec:
-        for name in FIELDS[1:]:
-            got, derived = getattr(rec, name), getattr(want, name)
-            if got != derived:
-                bad(f"{name} is {got!r}, the code gives {derived!r}")
+    derived = want[1:-2] + lift_pair      # FIELDS but id, lift pair last
+    if rec[1:] != derived:
+        for name, got, value in zip(FIELDS[1:], rec[1:], derived):
+            if got != value:
+                bad(f"{name} is {got!r}, the code gives {value!r}")
     return rec
 
 
@@ -276,11 +261,12 @@ def expand_records(tf_records):
 
 
 def add_lift_fields(records):
+    """The records with the lift counts that lift_profile gives."""
+    out = []
     for rec in records:
-        profile = lift_profile(rec)
-        rec.lift_one_to_one = profile.one_to_one
-        rec.lift_two_to_one = profile.two_to_one
-    return records
+        one, two, _ = lift_profile(rec)
+        out.append(rec._replace(lift_one_to_one=one, lift_two_to_one=two))
+    return out
 
 
 def full_catalog():

@@ -8,9 +8,7 @@ keeps exactly one of them.
 """
 
 from .errors import DomainError, ResourceBound
-from .hypermap import (
-    Hypermap, _candidate_roots, _root_code, from_code, subgroup_type,
-)
+from .hypermap import _candidate_roots, _root_code, from_code, subgroup_type
 
 MAX_INDEX = 255        # the canonical code stores the index in one byte
 MAX_LEAVES = 10 ** 6   # search leaves allowed in one enumeration
@@ -101,8 +99,10 @@ def _classes_at(n, genus_filter, torsion_free):
 
     def emit(sigma, alpha):
         nonlocal leaves
+        # the lists as they stand, with no Hypermap copy: the type is read
+        # before the search moves on
         if (genus_filter is not None
-                and subgroup_type(Hypermap(sigma, alpha)).g != genus_filter):
+                and subgroup_type((sigma, alpha)).g != genus_filter):
             return
         leaves += 1
         roots = _candidate_roots(sigma, alpha)

@@ -42,7 +42,9 @@ def inverse(p):
 def cycles(p):
     """Cycles of p, each starting at its smallest point, ordered by that point.
 
-    Raises OrderViolation when p is not a permutation.
+    Raises OrderViolation when p is not a permutation.  A walk starts at
+    the least unmarked point, so an image below it was marked already or
+    is negative, which indexing would wrap to a point counted from the end.
     """
     seen = [False] * len(p)
     out = []
@@ -53,12 +55,14 @@ def cycles(p):
             cyc = [x]
             seen[x] = True
             y = p[x]
-            while y != x:
+            while y > x:
                 if seen[y]:
                     raise OrderViolation(f"not a permutation: {y} is an image twice")
                 seen[y] = True
                 cyc.append(y)
                 y = p[y]
+            if y != x:
+                raise OrderViolation(f"not a permutation: {y} is an image twice or negative")
             out.append(tuple(cyc))
     except IndexError:
         raise OrderViolation(f"not a permutation: an image lies past {len(p) - 1}") from None
@@ -76,50 +80,41 @@ def fixed_points(p):
 
 # ----------------------------------------------------------------- hypermap
 
-class Hypermap:
+class Hypermap(namedtuple("Hypermap", "sigma alpha")):
     """Immutable (sigma, alpha) pair; run validate() before trusting one."""
 
-    __slots__ = ("n", "sigma", "alpha")
+    __slots__ = ()
 
-    def __init__(self, sigma, alpha):
-        object.__setattr__(self, "sigma", tuple(sigma))
-        object.__setattr__(self, "alpha", tuple(alpha))
-        object.__setattr__(self, "n", len(self.sigma))
+    def __new__(cls, sigma, alpha):
+        return super().__new__(cls, tuple(sigma), tuple(alpha))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypermap is immutable")
+    @property
+    def n(self):
+        return len(self.sigma)
 
     def phi(self):
         """Face permutation phi(e) = sigma(alpha(e))."""
-        return tuple(self.sigma[self.alpha[e]] for e in range(self.n))
-
-    def __eq__(self, other):
-        return (isinstance(other, Hypermap)
-                and self.sigma == other.sigma and self.alpha == other.alpha)
-
-    def __hash__(self):
-        return hash((self.sigma, self.alpha))
-
-    def __repr__(self):
-        return f"Hypermap(n={self.n}, sigma={self.sigma}, alpha={self.alpha})"
+        sigma, alpha = self
+        return tuple(sigma[a] for a in alpha)
 
 
 def validate(h):
     """Return h if sigma^3 = alpha^2 = id and the action is transitive."""
-    n = h.n
+    sigma, alpha = h
+    n = len(sigma)
     if n == 0:
         raise NotTransitive("a dessin needs at least one edge")
-    if len(h.alpha) != n:
-        raise OrderViolation(f"sigma moves {n} points but alpha moves {len(h.alpha)}")
+    if len(alpha) != n:
+        raise OrderViolation(f"sigma moves {n} points but alpha moves {len(alpha)}")
     labels = list(range(n))
-    if sorted(h.sigma) != labels or sorted(h.alpha) != labels:
+    if sorted(sigma) != labels or sorted(alpha) != labels:
         raise OrderViolation("sigma and alpha must be permutations of 0..n-1")
     for e in range(n):
-        if h.sigma[h.sigma[h.sigma[e]]] != e:
+        if sigma[sigma[sigma[e]]] != e:
             raise OrderViolation(f"sigma^3 != id at edge {e}")
-        if h.alpha[h.alpha[e]] != e:
+        if alpha[alpha[e]] != e:
             raise OrderViolation(f"alpha^2 != id at edge {e}")
-    count = len(_reach_order(h.sigma, h.alpha, 0))
+    count = len(_reach_order(sigma, alpha, 0))
     if count != n:
         raise NotTransitive(f"dessin splits: {count} of {n} edges reachable from edge 0")
     return h
@@ -147,17 +142,29 @@ def _reach_order(sigma, alpha, root):
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
 
 
+def _refuse_negative_images(*perms):
+    """OrderViolation on a negative image, which indexing would wrap to an
+    edge counted from the end, so a walk would run on."""
+    for p in perms:
+        if p and min(p) < 0:
+            raise OrderViolation("sigma and alpha must be permutations of 0..n-1")
+
+
 def _face_widths(h):
     """Lengths of the cycles of phi = sigma*alpha, in the order of their
     smallest edges, from one walk that marks each edge in a bytearray.
 
-    A walk that meets an edge already marked is not on a cycle, so phi is
-    not a permutation: OrderViolation, as for an image past n or unequal
-    lengths.  The empty pair is NotTransitive, as in validate.  The checks
-    cost nothing on a dessin: two length tests and a try block.
+    h is a Hypermap or any (sigma, alpha) pair.  Each walk starts at the
+    least unmarked edge, so the rest of its cycle lies above it; meeting a
+    marked edge or one below the start (a negative image of sigma) shows
+    that phi is not a permutation: OrderViolation, as for an image past n
+    or unequal lengths.  A negative image of alpha is only ever an index,
+    which wraps unseen: subgroup_type and cusp_widths refuse one first.
+    The empty pair is NotTransitive, as in validate.  The checks cost
+    nothing on a dessin: two length tests and a try block.
     """
-    sigma, alpha = h.sigma, h.alpha
-    n = h.n
+    sigma, alpha = h
+    n = len(sigma)
     if n == 0:
         raise NotTransitive("a dessin needs at least one edge")
     if len(alpha) != n:
@@ -171,13 +178,16 @@ def _face_widths(h):
             seen[start] = 1
             e = sigma[alpha[start]]
             w = 1
-            while e != start:
+            while e > start:
                 if seen[e]:
                     raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
                                          f"{e} is an image twice")
                 seen[e] = 1
                 w += 1
                 e = sigma[alpha[e]]
+            if e != start:
+                raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
+                                     f"{e} is an image twice or negative")
             widths.append(w)
     except IndexError:
         raise OrderViolation("sigma and alpha must be permutations of 0..n-1") from None
@@ -185,10 +195,11 @@ def _face_widths(h):
 
 
 def _type_with_faces(h, faces):
-    """SubgroupType of h once its number of faces is known."""
-    n = h.n
-    e2 = len(fixed_points(h.alpha))
-    e3 = len(fixed_points(h.sigma))
+    """SubgroupType of the pair h once its number of faces is known."""
+    sigma, alpha = h
+    n = len(sigma)
+    e2 = len(fixed_points(alpha))
+    e3 = len(fixed_points(sigma))
     g, rest = divmod(12 + n - 3 * e2 - 4 * e3 - 6 * faces, 12)
     if rest or g < 0:
         raise DomainError(f"Riemann-Hurwitz broke: 12g = {12 * g + rest}")
@@ -200,19 +211,17 @@ def subgroup_type(h):
 
     e2/e3 count alpha/sigma fixed points, h counts faces (one walk of
     _face_widths, no phi or cycle tuples), and the genus comes out of
-    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.
+    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.  h may be a plain
+    (sigma, alpha) pair, as the search's leaf test passes it.
     """
+    _refuse_negative_images(h[1])        # alpha; the walk meets sigma's
     return _type_with_faces(h, len(_face_widths(h)))
 
 
 def cusp_widths(h):
     """Descending cycle lengths of the face permutation; they sum to n."""
+    _refuse_negative_images(h[1])        # alpha; the walk meets sigma's
     return tuple(sorted(_face_widths(h), reverse=True))
-
-
-def loop_count(h):
-    """Number of width-1 faces."""
-    return _face_widths(h).count(1)
 
 
 # ------------------------------------------------------------ canonical code
@@ -304,9 +313,11 @@ def canonical_form(h):
     Aut acts freely on the edges of a transitive pair, so the ascending
     candidates that tie the minimum are the Aut-orbit of the first of them
     and number |Aut|.  Raises NotTransitive (or OrderViolation) on a pair
-    that is not a dessin.
+    that splits or has an image past n.  A negative image is the
+    caller's to refuse, as canonical_code and automorphism_group do: the
+    record build walks only dessins it has enumerated or validated.
     """
-    sigma, alpha = h.sigma, h.alpha
+    sigma, alpha = h
     try:
         roots = _candidate_roots(sigma, alpha)
         best = _root_code(sigma, alpha, roots[0], None)
@@ -335,7 +346,7 @@ def _is_walk_code(h, code):
     whose first alpha byte is code's, which is 1 exactly from a loop
     partner (alpha r = sigma r).
     """
-    sigma, alpha = h.sigma, h.alpha
+    sigma, alpha = h
     n = len(sigma)
     if len(code) != 1 + 2 * n or code[0] != n:
         return False
@@ -350,6 +361,7 @@ def canonical_code(h):
 
     The first element of canonical_form(h).
     """
+    _refuse_negative_images(*h)
     return canonical_form(h)[0]
 
 
@@ -377,12 +389,13 @@ def automorphism_group(h):
     induced actions on faces and on loops (width-1 faces, in ascending edge
     order -- the same order torsion.loops uses) come along for the ride.
     """
-    sigma, alpha = h.sigma, h.alpha
+    sigma, alpha = h
+    _refuse_negative_images(sigma, alpha)
     _, roots = canonical_form(h)
     orders = [_reach_order(sigma, alpha, root) for root in roots]
     els = []
     for order in orders:
-        psi = [0] * h.n
+        psi = [0] * len(sigma)
         for e, image in zip(orders[0], order):
             psi[e] = image
         els.append(tuple(psi))

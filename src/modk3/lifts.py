@@ -16,8 +16,8 @@ from .generate import enumerate_classes
 from .hypermap import automorphism_group, canonical_code, from_code
 from .torsion import expand_classes
 
-LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one note")
-LiftProfile.__new__.__defaults__ = (None,)
+LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one note",
+                         defaults=(None,))
 
 TotalsSummary = namedtuple(
     "TotalsSummary",

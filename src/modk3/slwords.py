@@ -11,11 +11,11 @@ from itertools import groupby
 
 from .hypermap import compose, inverse
 
-_Mat2Base = namedtuple("Mat2Base", "a b c d")
 
-
-class Mat2(_Mat2Base):
+class Mat2(namedtuple("Mat2", "a b c d")):
     """2x2 integer matrix of determinant 1 (checked at construction)."""
+
+    __slots__ = ()
 
     def __new__(cls, a, b, c, d):
         if a * d - b * c != 1:
@@ -33,9 +33,6 @@ class Mat2(_Mat2Base):
 
     def inv(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def __repr__(self):
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
 
 I2 = Mat2(1, 0, 0, 1)

@@ -98,12 +98,12 @@ def tf_retract(h):
     """
     sigma = list(h.sigma)
     alpha = list(h.alpha)
-    sigma_fixed = [e for e in range(h.n) if sigma[e] == e]
-    alpha_fixed = [e for e in range(h.n) if alpha[e] == e]
-    n = h.n + 2 * len(sigma_fixed) + 3 * len(alpha_fixed)
-    sigma.extend(range(h.n, n))
-    alpha.extend(range(h.n, n))
-    m = h.n
+    m = len(sigma)
+    sigma_fixed = [e for e in range(m) if sigma[e] == e]
+    alpha_fixed = [e for e in range(m) if alpha[e] == e]
+    n = m + 2 * len(sigma_fixed) + 3 * len(alpha_fixed)
+    sigma.extend(range(m, n))
+    alpha.extend(range(m, n))
     for x in sigma_fixed:
         u, v = m, m + 1
         m += 2

@@ -1,7 +1,5 @@
 """Shared fixtures."""
 
-from dataclasses import replace
-
 import pytest
 
 from modk3 import catalog
@@ -9,7 +7,7 @@ from modk3 import catalog
 
 @pytest.fixture(scope="session")
 def full_catalog():
-    """catalog.full_catalog() built once per session; each call of the
-    returned function hands out fresh record copies."""
-    records = catalog.full_catalog()
-    return lambda: [replace(rec) for rec in records]
+    """catalog.full_catalog() built once per session; the records are
+    immutable named tuples, and the tuple keeps a test from reordering
+    them for the next one."""
+    return tuple(catalog.full_catalog())

@@ -81,7 +81,7 @@ def test_criterion_1_torsion_free_counts():
 
 def test_criterion_2_partitions_and_symmetries(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     tf12 = [r for r in cat if r.index == 12 and r.e2 == 0 and r.e3 == 0]
     assert {_partition(r): r.aut_order for r in tf12} == INDEX12_AUT
     assert len(tf12) == 6
@@ -97,7 +97,7 @@ def test_criterion_2_partitions_and_symmetries(full_catalog):
 
 def test_criterion_3_strata_and_torsion_tables(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     by_stratum = Counter(_tf_index(r) for r in cat)
     assert dict(by_stratum) == STRATA_CLASSES
     assert len(cat) == 3228
@@ -129,7 +129,7 @@ def test_criterion_3_strata_and_torsion_tables(full_catalog):
 
 def test_criterion_4_index24_loops_and_symmetries(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     tf24 = [r for r in cat if r.index == 24 and r.e2 == 0 and r.e3 == 0]
     assert len(tf24) == 191
 
@@ -164,7 +164,7 @@ def test_criterion_4_index24_loops_and_symmetries(full_catalog):
 
 def test_criterion_5_lift_totals(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     lifts_by = Counter()
     for r in cat:
         lifts_by[_tf_index(r)] += r.lift_one_to_one + r.lift_two_to_one
@@ -209,7 +209,7 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_invariant_suite(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     tf_codes = set()
     for rec in cat:
         h = from_code(bytes.fromhex(rec.canonical_code))
@@ -253,7 +253,7 @@ def test_criterion_7_invariant_suite(full_catalog):
 
 def test_criterion_8_word_statistics(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     catalog.verify_records(cat, samples=1000)
     for rec in cat:
         h = from_code(bytes.fromhex(rec.canonical_code))
@@ -272,7 +272,7 @@ def test_criterion_8_word_statistics(full_catalog):
 
 def test_criterion_9_euler_numbers(full_catalog):
     t0 = time.time()
-    cat = full_catalog()
+    cat = full_catalog
     for rec in cat:
         k6 = _tf_index(rec)
         want = k6 if k6 % 12 == 0 else k6 + 6

@@ -5,7 +5,6 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -268,7 +267,7 @@ def test_cli_enumerate_stdout(capsys):
 
 def test_cli_report_totals_on_full_catalog(tmp_path, capsys, full_catalog):
     path = tmp_path / "full.jsonl"
-    catalog.write_records(path, full_catalog())
+    catalog.write_records(path, full_catalog)
     capsys.readouterr()
     assert cli.main(["report", "--in", str(path), "--table", "totals"]) == 0
     out = capsys.readouterr().out
@@ -276,7 +275,7 @@ def test_cli_report_totals_on_full_catalog(tmp_path, capsys, full_catalog):
 
 
 def test_totals_needs_every_stratum(full_catalog):
-    recs = [r for r in full_catalog() if bytes.fromhex(r.tf_code)[0] != 6]
+    recs = [r for r in full_catalog if bytes.fromhex(r.tf_code)[0] != 6]
     try:
         catalog.report_totals(recs)
         assert False, "totals accepted a catalog missing a stratum"
@@ -344,7 +343,7 @@ def test_export_dot(tmp_path, capsys):
 def test_export_dot_refuses_a_repeated_id(tmp_path, full_catalog):
     # the concatenated strata repeat some ids; 6-A is at index 12 and 18
     path = tmp_path / "full.jsonl"
-    catalog.write_records(path, full_catalog())
+    catalog.write_records(path, full_catalog)
     status, err = run_cli(["export-dot", "--in", str(path), "--id", "6-A"])
     assert (status, err) == (1, "error: ValidationError: id 6-A names 2 "
                                 "records, so it does not pick one\n")
@@ -374,7 +373,7 @@ def test_enumerate_is_deterministic(tmp_path):
 
 def test_verify_catches_a_lie(tmp_path, capsys):
     recs = k6_records()
-    recs[0].lift_one_to_one = -1
+    recs[0] = recs[0]._replace(lift_one_to_one=-1)
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, recs)
     capsys.readouterr()
@@ -414,7 +413,7 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     del calls[:]
     assert len(catalog.enumerate_records(12)) == 80
     assert calls == []
-    catalog.write_records(path, full_catalog())
+    catalog.write_records(path, full_catalog)
     assert len(catalog.read_records(path)) == 3228
     assert len(calls) == 38
 
@@ -592,7 +591,7 @@ def relabelled_swap(records):
 
 def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
     path = tmp_path / "tampered.jsonl"
-    lines = [catalog.record_to_json(r) for r in full_catalog()]
+    lines = [catalog.record_to_json(r) for r in full_catalog]
     i = next(i for i, line in enumerate(lines)
              if re.search(r'"canonical_code":"[0-9]*[a-f]', line))
     upper = json.loads(lines[i])
@@ -603,7 +602,7 @@ def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
     lie = json.loads(lines[j])
     lie["lift_one_to_one"] += 3
     cases = [("k6", relabelled_swap(k6_records()), "canonical_code"),
-             ("totals", relabelled_swap(full_catalog()), "canonical_code"),
+             ("totals", relabelled_swap(full_catalog), "canonical_code"),
              ("k6", [json.dumps(empty)] + lines[1:], "at least one edge"),
              ("totals", lines[:j] + [json.dumps(lie)] + lines[j + 1:],
               f"line {j + 1}: record 8-D: lift_one_to_one"),
@@ -704,7 +703,7 @@ def test_full_catalog_is_the_concatenated_cli_files(tmp_path, full_catalog):
         assert cli.main(["lifts", "--in", str(k), "--out", str(kl)]) == 0
         parts.append(kl.read_bytes())
     path = tmp_path / "api.jsonl"
-    catalog.write_records(path, full_catalog())
+    catalog.write_records(path, full_catalog)
     assert path.read_bytes() == b"".join(parts)
 
 
@@ -726,7 +725,7 @@ def golden_outputs(path, records, monkeypatch):
     read = catalog.read_records(path)
     with monkeypatch.context() as patch:
         patch.setattr(catalog, "read_records",
-                      lambda _: [replace(rec) for rec in read])
+                      lambda _: read)
         for table in sorted(catalog.REPORTS):
             got[f"report {table}"] = digest(["report", "--table", table])
         got["verify"] = digest(["verify", "--samples", "100"])
@@ -808,7 +807,7 @@ GOLDEN = {
 
 def test_cli_output_matches_the_golden_table(tmp_path, full_catalog, monkeypatch):
     path = tmp_path / "full.jsonl"
-    records = full_catalog()
+    records = full_catalog
     catalog.write_records(path, records)
     assert golden_outputs(path, records, monkeypatch) == GOLDEN
 

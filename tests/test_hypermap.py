@@ -8,12 +8,12 @@ from modk3.errors import DomainError, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _candidate_roots, automorphism_group, canonical_code,
     canonical_form, compose, cusp_widths, cycle_type, cycles, fixed_points,
-    from_code, inverse, loop_count, subgroup_type, validate,
+    from_code, inverse, subgroup_type, validate,
 )
 
 from helpers import (
-    identity_perm, perm_from_cycles, reference_automorphisms, relabel,
-    white_vertex_types,
+    identity_perm, loop_count, perm_from_cycles, reference_automorphisms,
+    relabel, white_vertex_types,
 )
 
 # Hand-built reference dessins -------------------------------------------
@@ -265,6 +265,21 @@ def test_walks_refuse_a_pair_that_is_not_a_permutation():
         pass
 
 
+def test_walks_refuse_a_negative_image():
+    # indexing wraps -1 to the last edge, so an unchecked walk runs on and
+    # returns a result; in alpha the -1 only ever serves as an index
+    pairs = (Hypermap((-1, 0), (0, 1)), Hypermap((0, 1), (-1, 0)))
+    calls = [(cycles, (-1, 0))] + [
+        (fn, h) for h in pairs
+        for fn in (subgroup_type, cusp_widths, canonical_code, automorphism_group)]
+    for fn, arg in calls:
+        try:
+            fn(arg)
+            assert False, f"{fn.__name__} walked a negative image in {arg}"
+        except OrderViolation:
+            pass
+
+
 def test_subgroup_type_refuses_a_non_dessin():
     # two fixed points each way on two edges: 12g = -12, no genus at all
     try:
@@ -360,7 +375,7 @@ def test_canonical_code_matches_reference(h, data):
 
 
 def test_automorphism_group_matches_the_reference_on_the_catalog(full_catalog):
-    for rec in full_catalog():
+    for rec in full_catalog:
         h = from_code(bytes.fromhex(rec.canonical_code))
         aut = automorphism_group(h)
         assert aut.elements == reference_automorphisms(h), rec.id

@@ -34,10 +34,11 @@ def test_no_empty_module_containers():
 def test_cli_start_loads_only_what_every_command_needs():
     # every CLI process pays for what `import modk3.cli` loads, `--help`
     # included; the matrix words, the Euler numbers and the closed-form
-    # counts are imported by the commands that use them
+    # counts are imported by the commands that use them, and the records
+    # are named tuples, since dataclasses pulls in inspect, ast and dis
     code = ("import sys, modk3.cli\n"
-            "for name in ('fractions', 'decimal', 'modk3.slwords',\n"
-            "             'modk3.euler', 'modk3.counts'):\n"
+            "for name in ('fractions', 'decimal', 'dataclasses', 'inspect',\n"
+            "             'modk3.slwords', 'modk3.euler', 'modk3.counts'):\n"
             "    if name in sys.modules:\n"
             "        print(name)\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
@@ -85,22 +86,28 @@ def test_cli_uses_only_public_catalog_names():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = {path.stem for path in Path(modk3.__file__).parent.glob("*.py")}
 
 
-def _used_names(tree):
-    """Names and attribute names a tree uses, plus the names it imports and
-    the identifiers spelled as strings (bench/tracer.py names its layers
-    that way); docstrings are never identifiers, so they add nothing."""
+def _used_names(tree, strict=True):
+    """Bare names a tree uses, the names it imports and the attributes it
+    takes of a modk3 module (catalog.REPORTS), so a record field such as
+    rec.loop_count reaches no function of that name.  With strict=False
+    every attribute name and every identifier spelled as a string count
+    too: bench/tracer.py names its layers as strings and binds them with
+    getattr.  Docstrings are never identifiers, so they add nothing."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
+        elif isinstance(node, ast.Attribute):
+            if (not strict or isinstance(node.value, ast.Name)
+                    and node.value.id in MODULES):
+                out.add(node.attr)
+        elif (not strict and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
             out.add(node.value)
     return out
 
@@ -132,7 +139,7 @@ def test_every_public_definition_is_reached():
     todo = {"main"} | _used_names(init)
     todo |= _used_names(ast.parse(_python_api_block()))
     todo |= _used_names(ast.parse((ROOT / "bench" / "tracer.py").read_text(
-        encoding="utf-8")))
+        encoding="utf-8")), strict=False)
     reached = set()
     while todo:
         name = todo.pop()

@@ -158,7 +158,7 @@ def test_totals_rejects_missing_expansions():
 def test_totals_rejects_a_swapped_duplicate(full_catalog):
     # drop one record over the [4,1,1] tf class and repeat another record of
     # the same class: every per-class count still matches
-    recs = full_catalog()
+    recs = list(full_catalog)
     tf = next(r for r in recs if r.cusp_widths == [4, 1, 1] and r.index == 6)
     group = [r for r in recs if r.tf_code == tf.tf_code and r is not tf]
     recs.remove(group[0])
