@@ -18,8 +18,8 @@ from .errors import (
 )
 from .generate import enumerate_classes
 from .hypermap import (
-    _face_widths, _is_walk_code, _type_with_faces, automorphism_group,
-    canonical_code, canonical_form, cycles, from_code, validate,
+    _automorphism_group, _face_widths, _is_walk_code, _type_with_faces,
+    canonical_form, cycle_type, cycles, fixed_points, from_code, validate,
 )
 from .lifts import _decode, lift_profile, tf_index, totals
 from .torsion import burnside_count, expand_classes, tf_retract
@@ -33,7 +33,8 @@ DessinRecord = namedtuple("DessinRecord", FIELDS, defaults=(None, None))
 
 
 def record_from_hypermap(h, tf_code=None):
-    """Build an (id-less) record; tf_code is computed unless supplied.
+    """Build an (id-less) record of h, which must be a dessin: it is not
+    validated here.  tf_code is computed unless supplied.
 
     The code and aut_order, the number of roots that tie it, come from one
     canonical walk (canonical_form), and the type, cusp widths and loop
@@ -46,7 +47,7 @@ def record_from_hypermap(h, tf_code=None):
     code, roots = canonical_form(h)
     if tf_code is None:
         tf_code = (code if t.e2 == t.e3 == 0
-                   else canonical_code(tf_retract(h))).hex()
+                   else canonical_form(tf_retract(h))[0]).hex()
     return DessinRecord(
         id=None,
         canonical_code=code.hex(),
@@ -151,11 +152,11 @@ def _checked_tf_code(h, stored, tf_codes):
         if stored in tf_codes:
             return stored
         # isomorphic to the retraction, so it has the same canonical code
-        derived = canonical_code(from_code(code)).hex()
+        derived = canonical_form(from_code(code))[0].hex()
         if derived == stored:
             tf_codes.add(stored)
         return derived
-    return canonical_code(retract).hex()
+    return canonical_form(retract)[0].hex()
 
 
 def validate_record(rec, tf_codes):
@@ -398,7 +399,7 @@ def report_k24(records):
         if tf_index(rec) != 24 or rec.e2 or rec.e3:
             continue
         h = _decode(rec)
-        aut = automorphism_group(h)
+        aut = _automorphism_group(h)
         label = "any" if rec.loop_count == 0 else group_label(aut.elements)
         mult = burnside_count(aut.loop_action, 3)
         key = (rec.loop_count, label)
@@ -424,7 +425,7 @@ def report_k24sym(records):
         if (tf_index(rec) == 24 and rec.e2 == 0 and rec.e3 == 0
                 and rec.loop_count > 0 and rec.aut_order > 1):
             h = _decode(rec)
-            label = group_label(automorphism_group(h).elements)
+            label = group_label(_automorphism_group(h).elements)
             picks.append((rec, label))
     lines = ["symmetry  loops  partition"]
     order = {"Z/2": 0, "Z/3": 1, "Z/2xZ/2": 2, "Z/4": 3}
@@ -505,15 +506,13 @@ def verify_records(records, samples=1000):
 
     import random
 
-    from .hypermap import cycle_type
     from .slwords import coset_action, eval_word, random_sl2, word_of_matrix
 
     for rec in records:
         h = _decode(rec)
         perm_s, perm_t = coset_action(h)
-        e2 = sum(1 for e in range(h.n) if perm_s[e] == e)
-        e3 = sum(1 for e in range(h.n) if h.sigma[e] == e)
-        if (e2, e3) != (rec.e2, rec.e3):
+        torsion = len(fixed_points(perm_s)), len(fixed_points(h.sigma))
+        if torsion != (rec.e2, rec.e3):
             raise ValidationError(f"record {rec.id}: torsion statistics "
                                   f"disagree with the coset action")
         if list(cycle_type(perm_t)) != list(rec.cusp_widths):

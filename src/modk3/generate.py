@@ -8,7 +8,9 @@ keeps exactly one of them.
 """
 
 from .errors import DomainError, ResourceBound
-from .hypermap import _candidate_roots, _root_code, from_code, subgroup_type
+from .hypermap import (
+    _candidate_roots, _face_widths, _root_code, _type_with_faces, from_code,
+)
 
 MAX_INDEX = 255        # the canonical code stores the index in one byte
 MAX_LEAVES = 10 ** 6   # search leaves allowed in one enumeration
@@ -99,11 +101,12 @@ def _classes_at(n, genus_filter, torsion_free):
 
     def emit(sigma, alpha):
         nonlocal leaves
-        # the lists as they stand, with no Hypermap copy: the type is read
-        # before the search moves on
-        if (genus_filter is not None
-                and subgroup_type((sigma, alpha)).g != genus_filter):
-            return
+        # the lists as they stand, with no Hypermap copy or validate: every
+        # leaf is a dessin, and the type is read before the search moves on
+        if genus_filter is not None:
+            pair = (sigma, alpha)
+            if _type_with_faces(pair, len(_face_widths(pair))).g != genus_filter:
+                return
         leaves += 1
         roots = _candidate_roots(sigma, alpha)
         if roots[0] != 0:

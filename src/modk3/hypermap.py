@@ -12,12 +12,13 @@ must not be changed in isolation.
 
 Permutations are tuples of images: p[i] is the image of i.
 
-Here: permutation helpers, the Hypermap pair and its validation, the
-type (n; g, h, e2, e3) and cusp widths from one face walk, the canonical
-code with the roots that tie it from one walk over the candidate roots,
-the test of a torsion-free dessin against a given code that stops at the
-first tying root, and the automorphism group those tying roots give, with
-its action on faces and loops.
+Here: permutation helpers, the Hypermap pair and validate, the one check
+of a dessin, the type (n; g, h, e2, e3) and cusp widths from one face
+walk, the canonical code with the roots that tie it from one walk over
+the candidate roots, the test of a torsion-free dessin against a given
+code that stops at the first tying root, and the automorphism group
+those tying roots give, with its action on faces and loops.  The public
+entries validate their pair; the private walks trust theirs.
 """
 
 from collections import namedtuple
@@ -81,7 +82,12 @@ def fixed_points(p):
 # ----------------------------------------------------------------- hypermap
 
 class Hypermap(namedtuple("Hypermap", "sigma alpha")):
-    """Immutable (sigma, alpha) pair; run validate() before trusting one."""
+    """Immutable (sigma, alpha) pair, not checked when built.
+
+    A pair is validated once, where it enters: subgroup_type, cusp_widths,
+    canonical_code and automorphism_group call validate() first, and the
+    private walks they share trust their input.
+    """
 
     __slots__ = ()
 
@@ -142,60 +148,37 @@ def _reach_order(sigma, alpha, root):
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
 
 
-def _refuse_negative_images(*perms):
-    """OrderViolation on a negative image, which indexing would wrap to an
-    edge counted from the end, so a walk would run on."""
-    for p in perms:
-        if p and min(p) < 0:
-            raise OrderViolation("sigma and alpha must be permutations of 0..n-1")
-
-
 def _face_widths(h):
     """Lengths of the cycles of phi = sigma*alpha, in the order of their
     smallest edges, from one walk that marks each edge in a bytearray.
 
-    h is a Hypermap or any (sigma, alpha) pair.  Each walk starts at the
-    least unmarked edge, so the rest of its cycle lies above it; meeting a
-    marked edge or one below the start (a negative image of sigma) shows
-    that phi is not a permutation: OrderViolation, as for an image past n
-    or unequal lengths.  A negative image of alpha is only ever an index,
-    which wraps unseen: subgroup_type and cusp_widths refuse one first.
-    The empty pair is NotTransitive, as in validate.  The checks cost
-    nothing on a dessin: two length tests and a try block.
+    h is a dessin, unchecked: a Hypermap, or the search's (sigma, alpha)
+    lists.  Each walk starts at the least unmarked edge and runs until it
+    comes back to it.
     """
     sigma, alpha = h
-    n = len(sigma)
-    if n == 0:
-        raise NotTransitive("a dessin needs at least one edge")
-    if len(alpha) != n:
-        raise OrderViolation(f"sigma moves {n} points but alpha moves {len(alpha)}")
-    seen = bytearray(n)
+    seen = bytearray(len(sigma))
     widths = []
-    try:
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            e = sigma[alpha[start]]
-            w = 1
-            while e > start:
-                if seen[e]:
-                    raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
-                                         f"{e} is an image twice")
-                seen[e] = 1
-                w += 1
-                e = sigma[alpha[e]]
-            if e != start:
-                raise OrderViolation(f"phi = sigma*alpha is not a permutation: "
-                                     f"{e} is an image twice or negative")
-            widths.append(w)
-    except IndexError:
-        raise OrderViolation("sigma and alpha must be permutations of 0..n-1") from None
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        e = sigma[alpha[start]]
+        w = 1
+        while e != start:
+            seen[e] = 1
+            w += 1
+            e = sigma[alpha[e]]
+        widths.append(w)
     return widths
 
 
 def _type_with_faces(h, faces):
-    """SubgroupType of the pair h once its number of faces is known."""
+    """SubgroupType of the pair h once its number of faces is known.
+
+    The search's leaves reach it unvalidated, so it keeps its own check: a
+    negative or fractional genus is a DomainError.
+    """
     sigma, alpha = h
     n = len(sigma)
     e2 = len(fixed_points(alpha))
@@ -211,16 +194,16 @@ def subgroup_type(h):
 
     e2/e3 count alpha/sigma fixed points, h counts faces (one walk of
     _face_widths, no phi or cycle tuples), and the genus comes out of
-    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.  h may be a plain
-    (sigma, alpha) pair, as the search's leaf test passes it.
+    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.  h is validated first.
     """
-    _refuse_negative_images(h[1])        # alpha; the walk meets sigma's
+    validate(h)
     return _type_with_faces(h, len(_face_widths(h)))
 
 
 def cusp_widths(h):
-    """Descending cycle lengths of the face permutation; they sum to n."""
-    _refuse_negative_images(h[1])        # alpha; the walk meets sigma's
+    """Descending cycle lengths of the face permutation of the validated
+    dessin h; they sum to n."""
+    validate(h)
     return tuple(sorted(_face_widths(h), reverse=True))
 
 
@@ -312,20 +295,12 @@ def canonical_form(h):
     roots give the same code iff an automorphism maps one to the other, and
     Aut acts freely on the edges of a transitive pair, so the ascending
     candidates that tie the minimum are the Aut-orbit of the first of them
-    and number |Aut|.  Raises NotTransitive (or OrderViolation) on a pair
-    that splits or has an image past n.  A negative image is the
-    caller's to refuse, as canonical_code and automorphism_group do: the
-    record build walks only dessins it has enumerated or validated.
+    and number |Aut|.  h is a dessin, unchecked: the package walks only
+    those it has enumerated, validated or built from one.
     """
     sigma, alpha = h
-    try:
-        roots = _candidate_roots(sigma, alpha)
-        best = _root_code(sigma, alpha, roots[0], None)
-    except IndexError:
-        # the walk from any root runs out of edges when the pair splits
-        # (there is no root at all when n = 0); validate names the error
-        validate(h)
-        raise
+    roots = _candidate_roots(sigma, alpha)
+    best = _root_code(sigma, alpha, roots[0], None)
     ties = [roots[0]]
     for root in roots[1:]:
         code = _root_code(sigma, alpha, root, best)
@@ -359,10 +334,9 @@ def _is_walk_code(h, code):
 def canonical_code(h):
     """Relabel-invariant byte code; two hypermaps are isomorphic iff equal.
 
-    The first element of canonical_form(h).
+    The first element of canonical_form(h), h validated first.
     """
-    _refuse_negative_images(*h)
-    return canonical_form(h)[0]
+    return canonical_form(validate(h))[0]
 
 
 def from_code(code):
@@ -380,7 +354,13 @@ AutomorphismGroup = namedtuple(
 
 
 def automorphism_group(h):
-    """All psi with psi*sigma = sigma*psi and psi*alpha = alpha*psi.
+    """All psi with psi*sigma = sigma*psi and psi*alpha = alpha*psi, h
+    validated first; see _automorphism_group."""
+    return _automorphism_group(validate(h))
+
+
+def _automorphism_group(h):
+    """The automorphism group of the dessin h, unchecked.
 
     The roots that tie the canonical code all relabel h into the same
     dessin, so the map sending the discovery order from the first of them
@@ -390,7 +370,6 @@ def automorphism_group(h):
     order -- the same order torsion.loops uses) come along for the ride.
     """
     sigma, alpha = h
-    _refuse_negative_images(sigma, alpha)
     _, roots = canonical_form(h)
     orders = [_reach_order(sigma, alpha, root) for root in roots]
     els = []

@@ -6,14 +6,16 @@ matrix groups; star configurations are face subsets up to automorphism.
 
 Records are duck-typed: anything with e2, e3, genus, tf_code and
 canonical_code (codes as hex strings) works, so this module does not
-depend on the catalog layer.
+depend on the catalog layer.  The code must be that of a dessin, as a
+record that read_records returns or the record build makes has: the lift
+rules decode it and walk it unchecked.
 """
 
 from collections import namedtuple
 
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import enumerate_classes
-from .hypermap import automorphism_group, canonical_code, from_code
+from .hypermap import _automorphism_group, canonical_form, from_code
 from .torsion import expand_classes
 
 LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one note",
@@ -44,7 +46,7 @@ def star_orbit_count(rec, parity, max_size):
     """
     if rec.e2 or rec.e3:
         raise DomainError("star placement lives on tf dessins")
-    aut = automorphism_group(_decode(rec))
+    aut = _automorphism_group(_decode(rec))
     nfaces = len(aut.faces)
     reps = 0
     for bits in range(1 << nfaces):
@@ -60,7 +62,7 @@ def star_orbit_count(rec, parity, max_size):
 
 def face_orbit_count(rec):
     """Number of Aut-orbits of single faces of the record's own dessin."""
-    aut = automorphism_group(_decode(rec))
+    aut = _automorphism_group(_decode(rec))
     return sum(1 for i in range(len(aut.faces))
                if min(fa[i] for fa in aut.face_action) == i)
 
@@ -101,7 +103,7 @@ def _tf_expansion_counts(n):
     """{tf code hex: number of classes over it} for torsion-free index n."""
     counts = {}
     for h in enumerate_classes(n, genus=0, torsion_free=True):
-        counts[canonical_code(h).hex()] = len(expand_classes(h))
+        counts[canonical_form(h)[0].hex()] = len(expand_classes(h))
     return counts
 
 

@@ -34,17 +34,17 @@ def loops(h):
     The j-th site here is the j-th point of automorphism_group's
     loop_action -- both walk faces by smallest edge.
     """
-    phi = h.phi()
+    sigma, alpha = h
     out = []
-    for e in range(h.n):
-        if phi[e] != e:
+    for e in range(len(sigma)):
+        partner = alpha[e]
+        if sigma[partner] != e:          # a loop: phi(e) = e
             continue
-        partner = h.alpha[e]
-        attach = h.sigma[e]
+        attach = sigma[e]
         # the loop must hang off a genuine 3-cycle: (e, attach, partner)
-        if partner == e or h.sigma[attach] != partner:
+        if partner == e or sigma[attach] != partner:
             raise DomainError(f"loop at edge {e} is not trivalent (torsion input?)")
-        out.append(LoopSite(e, partner, attach, h.alpha[attach]))
+        out.append(LoopSite(e, partner, attach, alpha[attach]))
     return out
 
 
@@ -74,13 +74,14 @@ def substitute(h_tf, assignment):
         else:
             raise ValueError(f"unknown substitution {choice!r}")
 
-    survivors = [e for e in range(h_tf.n) if e not in dead]
+    sigma, alpha = h_tf
+    survivors = [e for e in range(len(sigma)) if e not in dead]
     if not survivors:
         raise DegenerateSubstitution("every edge was deleted")
     new = {e: i for i, e in enumerate(survivors)}
-    sigma = [new[e] if e in sigma_fix else new[h_tf.sigma[e]] for e in survivors]
-    alpha = [new[e] if e in alpha_fix else new[h_tf.alpha[e]] for e in survivors]
-    result = Hypermap(sigma, alpha)
+    result = Hypermap(
+        [new[e] if e in sigma_fix else new[sigma[e]] for e in survivors],
+        [new[e] if e in alpha_fix else new[alpha[e]] for e in survivors])
     try:
         validate(result)
     except NotTransitive:

@@ -12,7 +12,7 @@ benchmark runs, so it lives here rather than in modk3.
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _check_constraints, _classes_at
 from modk3.hypermap import (
-    Hypermap, _face_widths, _reach_order, canonical_code, compose, cycles,
+    Hypermap, _reach_order, canonical_code, compose, cusp_widths, cycles,
     inverse, subgroup_type,
 )
 from modk3.slwords import coset_action, word_of_matrix
@@ -48,7 +48,7 @@ def relabel(h, p):
 
 def loop_count(h):
     """Number of width-1 faces."""
-    return _face_widths(h).count(1)
+    return cusp_widths(h).count(1)
 
 
 def white_vertex_types(h):

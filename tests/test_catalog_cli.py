@@ -399,11 +399,12 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
         tmp_path, monkeypatch, full_catalog):
     # aut_order comes from the canonical walk, so the record build calls
     # automorphism_group nowhere and a read only where a tf record's lift
-    # rule counts star orbits; every namespace that binds the name counts
+    # rule counts star orbits; every namespace that binds the unchecked
+    # body counts, and the public name (torsion's) calls hypermap's
     calls = []
-    group = hypermap.automorphism_group
-    for module in (hypermap, catalog, lifts, torsion):
-        monkeypatch.setattr(module, "automorphism_group",
+    group = hypermap._automorphism_group
+    for module in (hypermap, catalog, lifts):
+        monkeypatch.setattr(module, "_automorphism_group",
                             lambda h: calls.append(h) or group(h))
     path = tmp_path / "k6_lifts.jsonl"
     catalog.write_records(path, k6_records())
@@ -497,12 +498,9 @@ def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
     path = tmp_path / "k12_lifts.jsonl"
     catalog.write_records(path, recs)
     retracts, walked = [], []
-    retract = catalog.tf_retract
-    code, form = catalog.canonical_code, catalog.canonical_form
+    retract, form = catalog.tf_retract, catalog.canonical_form
     monkeypatch.setattr(catalog, "tf_retract",
                         lambda h: retracts.append(retract(h)) or retracts[-1])
-    monkeypatch.setattr(catalog, "canonical_code",
-                        lambda h: walked.append(h) or code(h))
     monkeypatch.setattr(catalog, "canonical_form",
                         lambda h: walked.append(h) or form(h))
     assert len(catalog.read_records(path)) == len(recs)

@@ -2,13 +2,13 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from modk3.errors import DomainError, NotTransitive, OrderViolation
+from modk3.errors import DomainError, Modk3Error, NotTransitive, OrderViolation
 from modk3.hypermap import (
-    Hypermap, _candidate_roots, automorphism_group, canonical_code,
-    canonical_form, compose, cusp_widths, cycle_type, cycles, fixed_points,
-    from_code, inverse, subgroup_type, validate,
+    Hypermap, _candidate_roots, _type_with_faces, automorphism_group,
+    canonical_code, canonical_form, compose, cusp_widths, cycle_type, cycles,
+    fixed_points, from_code, inverse, subgroup_type, validate,
 )
 
 from helpers import (
@@ -245,8 +245,8 @@ def test_walks_refuse_a_pair_that_is_not_a_permutation():
         except OrderViolation:
             pass
     # an image past n and unequal lengths are no permutation pair either,
-    # and the empty pair is no dessin: the face walk names each as validate
-    # does
+    # and the empty pair is no dessin: the entries name each as validate
+    # does, since they call it first
     past_n = Hypermap((3, 0, 1), (0, 1, 2))
     for pair, error in ((past_n, OrderViolation),
                         (Hypermap((0, 1), (0,)), OrderViolation),
@@ -281,9 +281,18 @@ def test_walks_refuse_a_negative_image():
 
 
 def test_subgroup_type_refuses_a_non_dessin():
-    # two fixed points each way on two edges: 12g = -12, no genus at all
+    # two fixed points each way on two edges: two one-edge dessins side by
+    # side, which validate refuses before any type is read
+    h = Hypermap((0, 1), (0, 1))
     try:
-        subgroup_type(Hypermap((0, 1), (0, 1)))
+        subgroup_type(h)
+        assert False, "a split pair was accepted"
+    except NotTransitive:
+        pass
+    # the search's leaves reach the type unvalidated, so it keeps its own
+    # check: 12g = -12 is no genus at all
+    try:
+        _type_with_faces(h, 2)
         assert False, "Riemann-Hurwitz violation was accepted"
     except DomainError as exc:
         assert "Riemann-Hurwitz" in str(exc)
@@ -389,3 +398,31 @@ def test_face_walk_matches_phi_cycles(h):
     assert subgroup_type(h).h == len(faces)
     assert cusp_widths(h) == tuple(sorted((len(f) for f in faces), reverse=True))
     assert loop_count(h) == sum(1 for f in faces if len(f) == 1)
+
+
+def _error_class(fn, h):
+    try:
+        fn(h)
+    except Modk3Error as exc:
+        return type(exc)
+    return None
+
+
+_ENTRIES = st.lists(st.integers(-2, 8), max_size=7)
+
+
+# sigma of order 2, which the walks alone took for a dessin; and the
+# genus-1 index-6 dessin beside the one-edge dessin, which they took for a
+# genus-0 class with cusp widths (6, 1)
+@example(Hypermap((1, 0), (0, 1)))
+@example(Hypermap((1, 3, 4, 0, 5, 2, 6), (2, 4, 0, 5, 1, 3, 6)))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(Hypermap, _ENTRIES, _ENTRIES),
+                 st.integers(0, 7).flatmap(lambda n: st.builds(
+                     Hypermap, st.permutations(range(n)),
+                     st.permutations(range(n)))),
+                 transitive_hypermaps(max_n=7)))
+def test_public_entries_accept_exactly_what_validate_accepts(h):
+    want = _error_class(validate, h)
+    for fn in (subgroup_type, cusp_widths, canonical_code, automorphism_group):
+        assert _error_class(fn, h) is want, (fn.__name__, h)

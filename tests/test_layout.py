@@ -1,6 +1,7 @@
 """Package layout guards: no per-process memo, a lean CLI start, one copy
 of each shared helper, no assert statement, one error base class, one
-catalog read path, no public definition that no entry point reaches."""
+check of a dessin, one catalog read path, no public definition that no
+entry point reaches."""
 
 import ast
 import importlib
@@ -73,6 +74,22 @@ def test_every_error_has_one_base():
     assert len(classes) == 10
     assert all(issubclass(cls, errors.Modk3Error) for cls in classes)
     assert cli._ERRORS == (errors.Modk3Error, OSError, ValueError)
+
+
+def test_only_validate_and_cycles_refuse_a_pair():
+    # a pair is checked once, where it enters: the walks trust their input,
+    # so no other definition raises the errors of a pair that is no dessin
+    refusals = {"OrderViolation", "NotTransitive"}
+    found = set()
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise):
+                    continue
+                exc = getattr(node.exc, "func", node.exc)   # raise E(...) or E
+                if isinstance(exc, ast.Name) and exc.id in refusals:
+                    found.add(f"{path.stem}.{top.name}")
+    assert found == {"hypermap.validate", "hypermap.cycles"}
 
 
 def test_cli_uses_only_public_catalog_names():
