@@ -18,7 +18,7 @@ class ResourceBound(Modk3Error):
 
 
 class DegenerateSubstitution(Modk3Error):
-    """A substitution emptied or disconnected the dessin."""
+    """A substitution deleted every edge of the dessin."""
 
 
 class DomainError(Modk3Error):

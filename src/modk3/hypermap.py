@@ -267,12 +267,8 @@ def _candidate_roots(sigma, alpha):
     2 iff alpha[r] lies in r's own sigma cycle (r, sigma r, sigma^2 r),
     else 3.  Every other root's code loses to theirs at byte 1 or 2, so the
     minimal code and all the roots that tie it are among these.  O(n), no
-    walk.
-
-    On a torsion-free dessin with loops these roots are the loop edges
-    (sigma alpha r = r) and their alpha partners (alpha r = sigma r), and
-    the first alpha byte tells them apart: it is 1 from a partner, whose
-    alpha image is its sigma image, and 2 from a loop edge.
+    walk.  On a torsion-free dessin with loops they are the loop edges
+    (sigma alpha r = r) and their alpha partners (alpha r = sigma r).
     """
     fixed = [r for r in range(len(sigma)) if sigma[r] == r]
     if fixed:
@@ -312,23 +308,25 @@ def canonical_form(h):
 
 
 def _is_walk_code(h, code):
-    """Whether a candidate root of the torsion-free dessin h walks to code.
+    """Whether a root of the torsion-free dessin h walks to code.
 
     A canonical code passes iff its dessin is isomorphic to h, so this is
     an isomorphism test: it stops at the first root that ties code, and a
     root is abandoned at the first sigma byte above code's.  Only the
-    candidate roots of code's kind are walked: those of _candidate_roots
-    whose first alpha byte is code's, which is 1 exactly from a loop
-    partner (alpha r = sigma r).
+    candidate roots of code's kind are walked: code's first alpha byte is 1
+    from a loop partner (alpha r = sigma r), 2 from a loop edge (sigma
+    alpha r = r).  A loopless h has neither, so all its roots are walked.
     """
     sigma, alpha = h
     n = len(sigma)
     if len(code) != 1 + 2 * n or code[0] != n:
         return False
-    partner = code[1 + n] == 1
+    if code[1 + n] == 1:
+        roots = [r for r in range(n) if alpha[r] == sigma[r]]
+    else:
+        roots = [r for r in range(n) if sigma[alpha[r]] == r]
     return any(_root_code(sigma, alpha, r, code) is code
-               for r in _candidate_roots(sigma, alpha)
-               if (alpha[r] == sigma[r]) == partner)
+               for r in roots or range(n))
 
 
 def canonical_code(h):

@@ -6,9 +6,9 @@ matrix groups; star configurations are face subsets up to automorphism.
 
 Records are duck-typed: anything with e2, e3, genus, tf_code and
 canonical_code (codes as hex strings) works, so this module does not
-depend on the catalog layer.  The code must be that of a dessin, as a
-record that read_records returns or the record build makes has: the lift
-rules decode it and walk it unchecked.
+depend on the catalog layer.  The code must be a dessin's, as in a record
+that read_records returns or the record build makes: the dessin was
+validated where it entered, so the lift rules decode and walk it unchecked.
 """
 
 from collections import namedtuple
@@ -68,7 +68,8 @@ def face_orbit_count(rec):
 
 
 def lift_profile(rec):
-    """(1:1 count, 2:1 count, note) of K3-realized lift classes."""
+    """(1:1 count, 2:1 count, note) of K3-realized lift classes; rec's code
+    must be a dessin's, as a read or the record build gives (unchecked)."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
     k6 = tf_index(rec)

@@ -18,8 +18,8 @@ automorphism action on loops.
 import itertools
 from collections import namedtuple
 
-from .errors import DegenerateSubstitution, DomainError, NotTransitive
-from .hypermap import Hypermap, automorphism_group, validate
+from .errors import DegenerateSubstitution, DomainError
+from .hypermap import Hypermap, _automorphism_group
 
 KEEP = "keep"
 WHITE = "white"
@@ -49,12 +49,14 @@ def loops(h):
 
 
 def substitute(h_tf, assignment):
-    """Apply one Keep/White/Black choice per loop, all at once.
+    """Apply one Keep/White/Black choice per loop of the torsion-free
+    dessin h_tf, all at once; the result is a dessin without a check.
 
     Deletion sets of distinct loops are disjoint (they sit in distinct
     sigma cycles), so simultaneous application equals any sequential
-    order.  Raises DegenerateSubstitution when nothing survives or the
-    survivors fall apart.
+    order.  Each gadget hangs off the rest by one alpha pair, so the
+    survivors stay connected: the one degenerate case deletes every edge,
+    and raises DegenerateSubstitution.
     """
     sites = loops(h_tf)
     if len(assignment) != len(sites):
@@ -79,14 +81,9 @@ def substitute(h_tf, assignment):
     if not survivors:
         raise DegenerateSubstitution("every edge was deleted")
     new = {e: i for i, e in enumerate(survivors)}
-    result = Hypermap(
+    return Hypermap(
         [new[e] if e in sigma_fix else new[sigma[e]] for e in survivors],
         [new[e] if e in alpha_fix else new[alpha[e]] for e in survivors])
-    try:
-        validate(result)
-    except NotTransitive:
-        raise DegenerateSubstitution("substituted dessin is disconnected")
-    return result
 
 
 def tf_retract(h):
@@ -122,18 +119,14 @@ def tf_retract(h):
 def expand_classes(h_tf):
     """All torsion classes over one tf class: (assignment, dessin) pairs.
 
-    One representative per Aut-orbit of valid assignments (the tuple that
-    compares least within its orbit), all-Keep first.  Degenerate
-    assignments are dropped.  The Aut action on loops is free on every
-    dessin in range -- checked, not assumed.
+    h_tf must be a torsion-free dessin, as an enumeration or a read gives;
+    it is not validated here.  One representative per Aut-orbit of
+    assignments (the tuple that compares least within its orbit), all-Keep
+    first; degenerate ones are dropped.  Aut acts freely on edges and a
+    loop is one edge, so no automorphism but the identity fixes a loop.
     """
-    aut = automorphism_group(h_tf)
+    aut = _automorphism_group(h_tf)
     L = len(aut.loops)
-    for la in aut.loop_action[1:]:
-        if any(la[j] == j for j in range(L)):
-            raise DomainError(
-                "automorphism fixes a loop; expansion bookkeeping would break")
-
     out = []
     for a in itertools.product((KEEP, WHITE, BLACK), repeat=L):
         images = []

@@ -244,7 +244,7 @@ def test_criterion_7_invariant_suite(full_catalog):
         6, (1, 2), (0, 3), (4, 5))
     try:
         substitute(Hypermap(*w411), (BLACK, BLACK))
-        assert False, "double-black on [4,1,1] should disconnect"
+        assert False, "double-black on [4,1,1] should delete every edge"
     except DegenerateSubstitution:
         pass
     print(f"PASS criterion 7 - invariant suite over all 3228 classes "

@@ -1,13 +1,16 @@
 """Catalog serialization, reports, and the command-line front end."""
 
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
+import modk3
 from modk3 import catalog, cli, hypermap, lifts, torsion
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
 from modk3.hypermap import Hypermap, canonical_code, from_code, validate
@@ -419,22 +422,39 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     assert len(calls) == 38
 
 
+def count_validate_calls(monkeypatch):
+    """A list of the dessins validate is called on from now on, collected
+    through every modk3 namespace that binds validate."""
+    calls = []
+    validate = hypermap.validate
+    for info in pkgutil.iter_modules(modk3.__path__):
+        module = importlib.import_module(f"modk3.{info.name}")
+        if getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate",
+                                lambda h: calls.append(h) or validate(h))
+    return calls
+
+
 def test_read_validates_each_dessin_once(tmp_path, monkeypatch):
     # each record's dessin is validated once; its retraction is built from
     # that validated dessin and is not checked again
     path = tmp_path / "k6_lifts.jsonl"
     catalog.write_records(path, k6_records())
-    calls = {"hypermap": 0, "catalog": 0, "torsion": 0}
-    validate = hypermap.validate
-    for name, module in (("hypermap", hypermap), ("catalog", catalog),
-                         ("torsion", torsion)):
-        def counted(h, name=name):
-            calls[name] += 1
-            return validate(h)
-        monkeypatch.setattr(module, "validate", counted)
+    calls = count_validate_calls(monkeypatch)
     assert len(catalog.read_records(path)) == 6
-    assert sum(calls.values()) == 6
-    assert calls["torsion"] == 0
+    assert len(calls) == 6
+
+
+def test_cli_expand_validates_only_the_dessins_it_reads(tmp_path, monkeypatch):
+    # expansion and substitution trust the read: the 6 index-12 tf classes
+    # are validated once each, and the 28 classes built over them never
+    path = tmp_path / "tf12.jsonl"
+    catalog.write_records(path, tf_records(12))
+    calls = count_validate_calls(monkeypatch)
+    out = tmp_path / "k12.jsonl"
+    assert run_cli(["expand", "--in", str(path), "--out", str(out)]) == (0, "")
+    assert len(calls) == 6
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 28
 
 
 def test_cli_verify_refuses_negative_samples(tmp_path):

@@ -1,7 +1,7 @@
 """Package layout guards: no per-process memo, a lean CLI start, one copy
 of each shared helper, no assert statement, one error base class, one
-check of a dessin, one catalog read path, no public definition that no
-entry point reaches."""
+check of a dessin where it enters, one catalog read path, no public
+definition that no entry point reaches."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ import modk3
 from modk3 import cli, errors
 
 SRC = str(Path(modk3.__file__).resolve().parents[1])
+MODULES = {path.stem for path in Path(modk3.__file__).parent.glob("*.py")}
 
 
 def test_no_empty_module_containers():
@@ -92,6 +93,32 @@ def test_only_validate_and_cycles_refuse_a_pair():
     assert found == {"hypermap.validate", "hypermap.cycles"}
 
 
+def test_a_dessin_is_validated_only_where_it_enters():
+    # validate runs in the four public hypermap entries and in the read's
+    # validate_record; package code builds on dessins checked there, so it
+    # calls neither validate nor an entry that would check them again
+    entries = {"subgroup_type", "cusp_widths", "canonical_code",
+               "automorphism_group"}
+    callers = {name: set() for name in entries | {"validate"}}
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in MODULES):
+                    name = node.attr
+                else:
+                    continue
+                if name in callers:
+                    where = getattr(top, "name", "<module>")
+                    callers[name].add(f"{path.stem}.{where}")
+    assert callers.pop("validate") == \
+        {f"hypermap.{name}" for name in entries} | {"catalog.validate_record"}
+    assert callers == {name: set() for name in entries}
+
+
 def test_cli_uses_only_public_catalog_names():
     # a private catalog helper in the CLI is how a second read path starts
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -103,7 +130,6 @@ def test_cli_uses_only_public_catalog_names():
 
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = {path.stem for path in Path(modk3.__file__).parent.glob("*.py")}
 
 
 def _used_names(tree, strict=True):

@@ -139,14 +139,17 @@ def torsion_free_pairs(draw, max_k=4):
 @settings(max_examples=300, deadline=None)
 @given(torsion_free_pairs(), st.data())
 def test_retract_undoes_any_substitution(h, data):
-    # tf_retract plants its gadgets without a check; its output must still
-    # be a dessin, and the one the substitution started from
+    # substitute and tf_retract build their dessins without a check: a
+    # gadget hangs off the rest by one alpha pair, so cutting it off keeps
+    # the survivors connected and planting it keeps the pair a dessin; the
+    # retraction must also be the dessin the substitution started from
     choice = tuple(data.draw(st.sampled_from((KEEP, WHITE, BLACK)))
                    for _ in loops(h))
     try:
         sub = substitute(h, choice)
     except DegenerateSubstitution:
         return
+    validate(sub)
     back = tf_retract(sub)
     validate(back)
     assert canonical_code(back) == canonical_code(h), choice
