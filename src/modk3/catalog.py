@@ -14,9 +14,10 @@ import json
 from collections import namedtuple
 
 from .errors import (
-    DomainError, IncompleteCatalog, Modk3Error, ParseError, ValidationError,
+    DomainError, IncompleteCatalog, Modk3Error, ParseError, ResourceBound,
+    ValidationError,
 )
-from .generate import enumerate_classes
+from .generate import MAX_LEAVES, enumerate_classes
 from .hypermap import (
     _automorphism_group, _face_widths, _is_walk_code, _type_with_faces,
     canonical_form, cycle_type, cycles, fixed_points, from_code, validate,
@@ -250,12 +251,23 @@ def enumerate_records(index, *, genus=None, torsion_free=False):
 
 
 def expand_records(tf_records):
-    """K-stratum records over torsion-free inputs (which must be tf, genus 0)."""
-    out = []
+    """K-stratum records over torsion-free inputs (which must be tf, genus 0).
+
+    The expansion of a class with L loops tries all 3^L Keep/White/Black
+    assignments, so the work is predicted from the read's loop counts:
+    inputs whose sum of 3^loop_count is over MAX_LEAVES are refused with
+    ResourceBound before any substitution.
+    """
     for rec in tf_records:
         if rec.e2 or rec.e3 or rec.genus:
             raise ValidationError(
                 f"record {rec.id}: expansion input must be torsion-free genus 0")
+    work = sum(3 ** rec.loop_count for rec in tf_records)
+    if work > MAX_LEAVES:
+        raise ResourceBound(f"expanding {len(tf_records)} records tries {work} "
+                            f"loop assignments, over the bound of {MAX_LEAVES}")
+    out = []
+    for rec in tf_records:
         for _, sub in expand_classes(_decode(rec)):
             out.append(record_from_hypermap(sub, tf_code=rec.canonical_code))
     return assign_ids(out)

@@ -1,15 +1,22 @@
-"""Command-line front end: enumerate, expand, lifts, report, export-dot, verify."""
+"""Command-line front end: enumerate, expand, lifts, report, export-dot, verify.
+
+The catalog, and with it the rest of the package, is imported only once
+the arguments parse, so `--help` and every usage error load nothing but
+this module and errors.
+"""
 
 import argparse
 import sys
 
-from . import catalog
 from .errors import Modk3Error
 
 _ERRORS = (Modk3Error, OSError, ValueError)
 
+# the --table choices: sorted(catalog.REPORTS), which a test keeps in step
+TABLES = ("k12", "k18", "k24", "k24sym", "k6", "tf-counts", "totals")
 
-def _emit(records, out):
+
+def _emit(catalog, records, out):
     if out is None:
         for rec in records:
             print(catalog.record_to_json(rec))
@@ -17,33 +24,33 @@ def _emit(records, out):
         catalog.write_records(out, records)
 
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, catalog):
     records = catalog.enumerate_records(
         args.index, genus=args.genus, torsion_free=args.torsion_free)
-    _emit(records, args.out)
+    _emit(catalog, records, args.out)
     return 0
 
 
-def cmd_expand(args):
+def cmd_expand(args, catalog):
     tf = catalog.read_records(args.infile)
-    _emit(catalog.expand_records(tf), args.out)
+    _emit(catalog, catalog.expand_records(tf), args.out)
     return 0
 
 
-def cmd_lifts(args):
+def cmd_lifts(args, catalog):
     records = catalog.read_records(args.infile)
-    _emit(catalog.add_lift_fields(records), args.out)
+    _emit(catalog, catalog.add_lift_fields(records), args.out)
     return 0
 
 
-def cmd_report(args):
+def cmd_report(args, catalog):
     records = catalog.read_records(args.infile)
     for line in catalog.REPORTS[args.table](records):
         print(line)
     return 0
 
 
-def cmd_export_dot(args):
+def cmd_export_dot(args, catalog):
     records = catalog.read_records(args.infile)
     dot = catalog.export_dot(records, args.id)
     if args.out is None:
@@ -54,7 +61,7 @@ def cmd_export_dot(args):
     return 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, catalog):
     records = catalog.read_records(args.infile)
     print(catalog.verify_records(records, samples=args.samples))
     return 0
@@ -85,7 +92,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="print a summary table")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--table", required=True, choices=sorted(catalog.REPORTS))
+    p.add_argument("--table", required=True, choices=TABLES)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("export-dot", help="write one dessin as a DOT graph")
@@ -103,8 +110,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    from . import catalog
     try:
-        return args.func(args)
+        return args.func(args, catalog)
     except _ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -22,14 +22,17 @@ def _search(n, torsion_free, emit):
     Invariant: labels 0..m-1 are introduced, labels grow by discovery, and
     the smallest introduced edge with an open slot is settled next --
     alpha first, then its sigma cycle.  Every leaf is connected because a
-    fresh label is only ever attached to an introduced one.
+    fresh label is only ever attached to an introduced one.  A node only
+    fills slots, so in the whole subtree below a node whose open edge is p
+    every edge below p keeps both slots filled: each child starts its scan
+    for an open edge at p, and the sigma partners of p are sought above p.
     """
     sigma = [-1] * n
     alpha = [-1] * n
 
-    def grow(m):
+    def grow(m, start):
         p = -1
-        for e in range(m):
+        for e in range(start, m):
             if alpha[e] < 0 or sigma[e] < 0:
                 p = e
                 break
@@ -41,47 +44,47 @@ def _search(n, torsion_free, emit):
         if alpha[p] < 0:
             if not torsion_free:
                 alpha[p] = p
-                grow(m)
+                grow(m, p)
                 alpha[p] = -1
             for q in range(p + 1, m):
                 if alpha[q] < 0:
                     alpha[p] = q
                     alpha[q] = p
-                    grow(m)
+                    grow(m, p)
                     alpha[p] = alpha[q] = -1
             if m < n:
                 alpha[p] = m
                 alpha[m] = p
-                grow(m + 1)
+                grow(m + 1, p)
                 alpha[p] = alpha[m] = -1
             return
 
         # close the sigma cycle at p: fixed point or a full 3-cycle (p x y)
         if not torsion_free:
             sigma[p] = p
-            grow(m)
+            grow(m, p)
             sigma[p] = -1
-        free = [e for e in range(m) if sigma[e] < 0 and e != p]
+        free = [e for e in range(p + 1, m) if sigma[e] < 0]
         for x in free:
             for y in free:
                 if y != x:
                     sigma[p], sigma[x], sigma[y] = x, y, p
-                    grow(m)
+                    grow(m, p)
                     sigma[p] = sigma[x] = sigma[y] = -1
         if m < n:
             for x in free:
                 sigma[p], sigma[x], sigma[m] = x, m, p
-                grow(m + 1)
+                grow(m + 1, p)
                 sigma[p] = sigma[x] = sigma[m] = -1
                 sigma[p], sigma[m], sigma[x] = m, x, p
-                grow(m + 1)
+                grow(m + 1, p)
                 sigma[p] = sigma[x] = sigma[m] = -1
         if m + 1 < n:
             sigma[p], sigma[m], sigma[m + 1] = m, m + 1, p
-            grow(m + 2)
+            grow(m + 2, p)
             sigma[p] = sigma[m] = sigma[m + 1] = -1
 
-    grow(1)
+    grow(1, 0)
 
 
 def _classes_at(n, genus_filter, torsion_free):

@@ -457,6 +457,26 @@ def test_cli_expand_validates_only_the_dessins_it_reads(tmp_path, monkeypatch):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 28
 
 
+def test_cli_expand_predicts_its_work_before_any_substitution(
+        tmp_path, monkeypatch):
+    # the two index-6 tf classes have 2 and 0 loops: 3^2 + 3^0 = 10
+    # assignments, refused under a bound of 9 before any expansion
+    def boom(*args):
+        raise AssertionError("the expansion ran")
+
+    path = tmp_path / "tf6.jsonl"
+    catalog.write_records(path, tf_records(6))
+    monkeypatch.setattr(catalog, "MAX_LEAVES", 9)
+    monkeypatch.setattr(catalog, "expand_classes", boom)
+    monkeypatch.setattr(torsion, "substitute", boom)
+    out = tmp_path / "k6.jsonl"
+    status, err = run_cli(["expand", "--in", str(path), "--out", str(out)])
+    assert (status, err) == (1, "error: ResourceBound: expanding 2 records "
+                                "tries 10 loop assignments, over the bound "
+                                "of 9\n")
+    assert not out.exists()
+
+
 def test_cli_verify_refuses_negative_samples(tmp_path):
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import modk3
-from modk3 import cli, errors
+from modk3 import catalog, cli, errors
 
 SRC = str(Path(modk3.__file__).resolve().parents[1])
 MODULES = {path.stem for path in Path(modk3.__file__).parent.glob("*.py")}
@@ -34,11 +34,11 @@ def test_no_empty_module_containers():
 
 
 def test_cli_start_loads_only_what_every_command_needs():
-    # every CLI process pays for what `import modk3.cli` loads, `--help`
-    # included; the matrix words, the Euler numbers and the closed-form
-    # counts are imported by the commands that use them, and the records
-    # are named tuples, since dataclasses pulls in inspect, ast and dis
-    code = ("import sys, modk3.cli\n"
+    # every command that runs loads the CLI and the catalog; the matrix
+    # words, the Euler numbers and the closed-form counts are imported by
+    # the commands that use them, and the records are named tuples, since
+    # dataclasses pulls in inspect, ast and dis
+    code = ("import sys, modk3.cli, modk3.catalog\n"
             "for name in ('fractions', 'decimal', 'dataclasses', 'inspect',\n"
             "             'modk3.slwords', 'modk3.euler', 'modk3.counts'):\n"
             "    if name in sys.modules:\n"
@@ -47,6 +47,29 @@ def test_cli_start_loads_only_what_every_command_needs():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ""
+
+
+def test_cli_help_loads_only_the_cli_and_its_errors():
+    # `--help` and the usage errors exit in parse_args, before main imports
+    # the catalog, so they compile none of the package's other modules
+    code = ("import sys\n"
+            "from modk3 import cli\n"
+            "try:\n"
+            "    cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('modk3')),\n"
+            "      'json' in sys.modules, file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: modk3")
+    assert out.stderr == "['modk3', 'modk3.cli', 'modk3.errors'] False\n"
+
+
+def test_cli_tables_are_the_reports():
+    # the --table choices are spelled out so that parsing needs no catalog
+    assert cli.TABLES == tuple(sorted(catalog.REPORTS))
 
 
 def test_one_transitivity_walk_and_one_tf_index():
