@@ -63,7 +63,7 @@ def cmd_export_dot(args, catalog):
 
 def cmd_verify(args, catalog):
     records = catalog.read_records(args.infile)
-    print(catalog.verify_records(records, samples=args.samples))
+    print(catalog.verify_records(records))
     return 0
 
 
@@ -103,7 +103,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-derive and spot-check a catalog")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -70,11 +70,6 @@ def cycles(p):
     return out
 
 
-def cycle_type(p):
-    """Descending multiset of cycle lengths."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
 def fixed_points(p):
     return [x for x in range(len(p)) if p[x] == x]
 

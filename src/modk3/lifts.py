@@ -9,6 +9,7 @@ canonical_code (codes as hex strings) works, so this module does not
 depend on the catalog layer.  The code must be a dessin's, as in a record
 that read_records returns or the record build makes: the dessin was
 validated where it entered, so the lift rules decode and walk it unchecked.
+totals reads lift_one_to_one and lift_two_to_one, as a read proved them.
 """
 
 from collections import namedtuple
@@ -18,8 +19,7 @@ from .generate import enumerate_classes
 from .hypermap import _automorphism_group, canonical_form, from_code
 from .torsion import expand_classes
 
-LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one note",
-                         defaults=(None,))
+LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one")
 
 TotalsSummary = namedtuple(
     "TotalsSummary",
@@ -68,8 +68,11 @@ def face_orbit_count(rec):
 
 
 def lift_profile(rec):
-    """(1:1 count, 2:1 count, note) of K3-realized lift classes; rec's code
-    must be a dessin's, as a read or the record build gives (unchecked)."""
+    """(1:1 count, 2:1 count) of K3-realized lift classes; rec's code
+    must be a dessin's, as a read or the record build gives (unchecked).
+    k = 4, e3 > 0 has one lift of a kind not pinned down, counted 1:1.
+    Genus > 0 and tf index > 24 are refused before any walk; only orbit
+    rules at k < 4 walk, to one automorphism group and 2^(k+2) face subsets."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
     k6 = tf_index(rec)
@@ -83,8 +86,7 @@ def lift_profile(rec):
         # the unique lift is the full preimage (2-torsion forces -I)
         return LiftProfile(0, 1)
     if k == 4:
-        note = None if rec.e3 == 0 else "kind not pinned down for e3 > 0"
-        return LiftProfile(1, 0, note)
+        return LiftProfile(1, 0)
     if rec.e3 == 0:
         stars = star_orbit_count(rec, parity=k % 2, max_size=(24 - 6 * k) // 6)
         return LiftProfile(stars, 1)
@@ -98,6 +100,14 @@ def lift_profile(rec):
             return LiftProfile(orbits, 1)
         return LiftProfile({2: 1, 3: 0}[rec.e3], 1)
     return LiftProfile(1 if rec.e3 == 1 else 0, 1)       # k == 3
+
+
+def stored_lifts(rec):
+    """The lift pair a record stores, as a read proved it (both or neither)."""
+    if rec.lift_one_to_one is None:
+        raise IncompleteCatalog(f"record {rec.id} stores no lift counts; "
+                                f"`modk3 lifts` adds them")
+    return LiftProfile(rec.lift_one_to_one, rec.lift_two_to_one)
 
 
 def _tf_expansion_counts(n):
@@ -147,7 +157,7 @@ def totals(catalog):
     bijective = multi_classes = multi_lifts = 0
     for rec in catalog:
         n = tf_index(rec)
-        count = sum(lift_profile(rec)[:2])
+        count = sum(stored_lifts(rec))
         classes_by_index[n] = classes_by_index.get(n, 0) + 1
         lifts_by_index[n] = lifts_by_index.get(n, 0) + count
         if count == 1:

@@ -1,9 +1,9 @@
-"""Matrix-level verification layer: words in S and T, coset actions.
+"""Matrix-level layer: words in S and T, coset actions.
 
-verify checks the combinatorics against the group theory with it: a
-dessin's coset action must reproduce its torsion counts and cusp data,
-and random SL(2,Z) matrices must survive the round trip through their
-S/T words.
+verify round-trips fixed-seed random SL(2,Z) matrices through their S/T
+words.  The coset action reproduces the torsion counts and cusp widths
+that every read rebuilds from the code, so no command checks it; the
+tests push words through it (tests/helpers.py word_perm).
 """
 
 from collections import namedtuple

@@ -3,8 +3,8 @@
 The brute-force oracle and the rooted counts cross-check the search, and
 reference_automorphisms (every image of edge 0 tried through _extend_map)
 cross-checks the automorphism group that the canonical walk gives;
-cycle notation, relabelling and white-vertex typing build and inspect
-test dessins; word_perm and member_sign push S/T words through a coset
+cycle notation, cycle types, relabelling and white-vertex typing build
+and inspect test dessins; word_perm and member_sign push S/T words through a coset
 action.  None of it is on a path that a command, the package API or the
 benchmark runs, so it lives here rather than in modk3.
 """
@@ -33,6 +33,11 @@ def perm_from_cycles(n, *cycs):
         for i, x in enumerate(cyc):
             images[x] = cyc[(i + 1) % len(cyc)]
     return tuple(images)
+
+
+def cycle_type(p):
+    """Descending multiset of cycle lengths."""
+    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
 def relabel(h, p):

@@ -234,7 +234,7 @@ def test_empty_file_is_empty_catalog(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     assert catalog.read_records(path) == []
-    assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 0
+    assert cli.main(["verify", "--in", str(path)]) == 0
     out = tmp_path / "still_empty.jsonl"
     assert cli.main(["lifts", "--in", str(path), "--out", str(out)]) == 0
     assert out.read_bytes() == b""
@@ -353,6 +353,38 @@ def test_export_dot_refuses_a_repeated_id(tmp_path, full_catalog):
     assert run_cli(["export-dot", "--in", str(path), "--id", "4,1,1-A"]) == (0, "")
 
 
+def test_export_dot_escapes_the_id(tmp_path):
+    # ids are unchecked, so a quote or a backslash in one must not end the
+    # DOT string it is written into
+    path = tmp_path / "k6.jsonl"
+    hostile = 'x" ; evil [label="y'
+    recs = k6_records()
+    catalog.write_records(path, [recs[0]._replace(id=hostile),
+                                 recs[1]._replace(id="a\\")])
+    records = catalog.read_records(path)
+    widths = catalog._partition(recs[0])
+    dot = catalog.export_dot(records, hostile)
+    assert dot.startswith('graph "x\\" ; evil [label=\\"y" {\n'
+                          f'  label="x\\" ; evil [label=\\"y  widths=({widths})";\n')
+    dot = catalog.export_dot(records, "a\\")
+    assert dot.startswith('graph "a\\\\" {\n')
+
+
+def test_reports_of_lift_counts_need_a_file_that_lifts_wrote(
+        tmp_path, full_catalog):
+    # the k6, k12 and totals reports read the stored lift counts that the
+    # read has proved, and name the command that adds them when there are none
+    bare = [r._replace(lift_one_to_one=None, lift_two_to_one=None)
+            for r in full_catalog]
+    path = tmp_path / "no_lifts.jsonl"
+    catalog.write_records(path, bare)
+    for table in ("k6", "k12", "totals"):
+        status, err = run_cli(["report", "--in", str(path), "--table", table])
+        assert status == 1 and len(err.splitlines()) == 1, (table, err)
+        assert err.startswith("error: IncompleteCatalog: record "), err
+        assert "`modk3 lifts` adds them" in err, err
+
+
 def test_export_dot_loops_label_width_one():
     recs = k6_records()
     dot = catalog.export_dot(recs, "4,1,1-A")
@@ -380,7 +412,7 @@ def test_verify_catches_a_lie(tmp_path, capsys):
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, recs)
     capsys.readouterr()
-    assert cli.main(["verify", "--in", str(path), "--samples", "1"]) == 1
+    assert cli.main(["verify", "--in", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
@@ -393,9 +425,9 @@ def test_verify_cli_reports_counts(tmp_path, capsys):
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())
     capsys.readouterr()
-    assert cli.main(["verify", "--in", str(path), "--samples", "50"]) == 0
+    assert cli.main(["verify", "--in", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "6 records" in out and "50 matrix samples" in out
+    assert out == "verified 6 records and 1000 matrix samples\n"
 
 
 def test_only_star_orbit_lift_rules_call_automorphism_group(
@@ -477,12 +509,18 @@ def test_cli_expand_predicts_its_work_before_any_substitution(
     assert not out.exists()
 
 
-def test_cli_verify_refuses_negative_samples(tmp_path):
+def test_cli_verify_refuses_negative_samples(tmp_path, capsys):
+    # verify round-trips a fixed catalog.SAMPLES matrices, so --samples is
+    # no option: any count, negative or not, is a usage error
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())
-    status, err = run_cli(["verify", "--in", str(path), "--samples", "-5"])
-    assert status == 1
-    assert re.fullmatch(r"error: DomainError: .*\n", err), err
+    for count in ("-5", "5"):
+        try:
+            cli.main(["verify", "--in", str(path), "--samples", count])
+            assert False, f"verify took --samples {count}"
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
 def test_cli_enumerate_refuses_negative_genus():
@@ -509,7 +547,7 @@ def test_verify_cli_rederives_lift_counts(tmp_path, capsys):
     lines[0] = json.dumps(obj, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 1
+    assert cli.main(["verify", "--in", str(path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
     assert "lift_one_to_one" in err[0]
@@ -594,7 +632,7 @@ def test_verify_cli_validates_each_record_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(catalog, "validate_record",
                         lambda rec, *args: calls.append(rec.id)
                         or validate(rec, *args))
-    assert cli.main(["verify", "--in", str(path), "--samples", "5"]) == 0
+    assert cli.main(["verify", "--in", str(path)]) == 0
     assert sorted(calls) == sorted(r.id for r in k6_records())
 
 
@@ -651,7 +689,7 @@ def test_cli_error_contract_on_tampered_lines(tmp_path, full_catalog):
         status, err = run_cli(["report", "--in", str(path), "--table", table])
         assert status == 1 and ERROR_LINE.fullmatch(err) and word in err, err
     # the upper-case code is still in the file
-    status, err = run_cli(["verify", "--in", str(path), "--samples", "5"])
+    status, err = run_cli(["verify", "--in", str(path)])
     assert status == 1 and len(err.splitlines()) == 1
     assert err.startswith(f"error: ValidationError: line {i + 1}: ")
     assert upper["id"] in err
@@ -695,7 +733,7 @@ def test_read_rejects_a_repeated_code(tmp_path):
         assert False, "a repeated canonical code was accepted"
     except ParseError as exc:
         assert str(exc) == "line 7: canonical_code repeats line 1"
-    for argv in (["verify", "--samples", "5"], ["report", "--table", "k6"]):
+    for argv in (["verify"], ["report", "--table", "k6"]):
         status, err = run_cli(argv + ["--in", str(path)])
         assert (status, err) == (
             1, "error: ParseError: line 7: canonical_code repeats line 1\n")
@@ -766,7 +804,7 @@ def golden_outputs(path, records, monkeypatch):
                       lambda _: read)
         for table in sorted(catalog.REPORTS):
             got[f"report {table}"] = digest(["report", "--table", table])
-        got["verify"] = digest(["verify", "--samples", "100"])
+        got["verify"] = digest(["verify"])
         for rec_id in ("4,1,1-A", "10,10,1,1,1,1-A", "6-A"):
             got[f"export-dot {rec_id}"] = digest(["export-dot", "--id", rec_id])
 
@@ -797,7 +835,7 @@ def golden_outputs(path, records, monkeypatch):
     for name, (tampered, table) in cases.items():
         path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
         got[name] = digest(["report", "--table", table])
-    got["verify upper-case tf code"] = digest(["verify", "--samples", "5"])
+    got["verify upper-case tf code"] = digest(["verify"])
     return got
 
 
@@ -819,7 +857,7 @@ GOLDEN = {
     "report totals":
         "57437e9c00dd705e08f038837d41afc966fc5aa76beaf0dc494f89cc3916f195",
     "verify":
-        "938724cb564387201cb5408fe1e2be3a5d32403a10699bb62068a78b043fbab1",
+        "211db3ef8cd4cb1fc1bce21bbeb86210bbc5afb1326e4e8abe453ff1031d6747",
     "export-dot 4,1,1-A":
         "d6e1de5a1db1fa4e2ff02d16b45a8898785c9211b6f6ef4ffb92995e15bee7df",
     "export-dot 10,10,1,1,1,1-A":

@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from modk3.errors import DomainError, Modk3Error, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _candidate_roots, _type_with_faces, automorphism_group,
-    canonical_code, canonical_form, compose, cusp_widths, cycle_type, cycles,
-    fixed_points, from_code, inverse, subgroup_type, validate,
+    canonical_code, canonical_form, compose, cusp_widths, cycles, fixed_points,
+    from_code, inverse, subgroup_type, validate,
 )
 
 from helpers import (
-    identity_perm, loop_count, perm_from_cycles, reference_automorphisms,
-    relabel, white_vertex_types,
+    cycle_type, identity_perm, loop_count, perm_from_cycles,
+    reference_automorphisms, relabel, white_vertex_types,
 )
 
 # Hand-built reference dessins -------------------------------------------

@@ -116,13 +116,10 @@ def test_only_validate_and_cycles_refuse_a_pair():
     assert found == {"hypermap.validate", "hypermap.cycles"}
 
 
-def test_a_dessin_is_validated_only_where_it_enters():
-    # validate runs in the four public hypermap entries and in the read's
-    # validate_record; package code builds on dessins checked there, so it
-    # calls neither validate nor an entry that would check them again
-    entries = {"subgroup_type", "cusp_widths", "canonical_code",
-               "automorphism_group"}
-    callers = {name: set() for name in entries | {"validate"}}
+def _users(names):
+    """{name: the module.definition names of package code that use it},
+    as a bare name or as an attribute of a modk3 module."""
+    users = {name: set() for name in names}
     for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
@@ -134,12 +131,29 @@ def test_a_dessin_is_validated_only_where_it_enters():
                     name = node.attr
                 else:
                     continue
-                if name in callers:
+                if name in users:
                     where = getattr(top, "name", "<module>")
-                    callers[name].add(f"{path.stem}.{where}")
+                    users[name].add(f"{path.stem}.{where}")
+    return users
+
+
+def test_a_dessin_is_validated_only_where_it_enters():
+    # validate runs in the four public hypermap entries and in the read's
+    # validate_record; package code builds on dessins checked there, so it
+    # calls neither validate nor an entry that would check them again
+    entries = {"subgroup_type", "cusp_widths", "canonical_code",
+               "automorphism_group"}
+    callers = _users(entries | {"validate"})
     assert callers.pop("validate") == \
         {f"hypermap.{name}" for name in entries} | {"catalog.validate_record"}
     assert callers == {name: set() for name in entries}
+
+
+def test_the_lift_rules_run_only_where_the_counts_are_made_or_read():
+    # lifts writes the pair and the read proves a stored pair equal to the
+    # rule table's; the reports and totals read the stored counts
+    assert _users({"lift_profile"}) == {
+        "lift_profile": {"catalog.validate_record", "catalog.add_lift_fields"}}
 
 
 def test_cli_uses_only_public_catalog_names():

@@ -55,28 +55,28 @@ def test_star_orbits_index_twelve_row():
 
 def test_lift_profile_examples():
     h = by_widths(12, (9, 1, 1, 1))
-    assert lift_profile(rec_of(h, h))[:2] == (3, 1)
+    assert lift_profile(rec_of(h, h)) == (3, 1)
     # H1 is the k=1, e3=1 torsion class
     h411 = by_widths(6, (4, 1, 1))
     for _, sub in expand_classes(h411):
         t = subgroup_type(sub)
         if (t.e2, t.e3) == (0, 1):
-            assert lift_profile(rec_of(sub, h411))[:2] == (2, 1)
+            assert lift_profile(rec_of(sub, h411)) == (2, 1)
         if t.e2 > 0:
-            assert lift_profile(rec_of(sub, h411))[:2] == (0, 1)
+            assert lift_profile(rec_of(sub, h411)) == (0, 1)
 
 
 def test_lift_profile_k24():
     h = tf_classes(24)[0]
-    profile = lift_profile(rec_of(h, h))
-    assert profile[:2] == (1, 0) and profile.note is None
-    # torsion over an index-24 class still yields exactly one lift
+    assert lift_profile(rec_of(h, h)) == (1, 0)
+    # torsion over an index-24 class still yields exactly one lift; with
+    # e2 = 0 and e3 > 0 its kind is not pinned down, and it counts as 1:1
     for _, sub in expand_classes(h):
         t = subgroup_type(sub)
         p = lift_profile(rec_of(sub, h))
         assert p.one_to_one + p.two_to_one == 1
         if t.e2 == 0 and t.e3 > 0:
-            assert p.note is not None
+            assert p == (1, 0)
 
 
 def test_k2_e3_one_face_orbits():
@@ -88,7 +88,7 @@ def test_k2_e3_one_face_orbits():
             if (t.e2, t.e3) == (0, 1):
                 r = rec_of(sub, h)
                 assert face_orbit_count(r) == 3
-                assert lift_profile(r)[:2] == (3, 1)
+                assert lift_profile(r) == (3, 1)
                 seen += 1
     assert seen == 4
 
@@ -96,15 +96,15 @@ def test_k2_e3_one_face_orbits():
 def test_stratum_six():
     recs = stratum(6)
     assert len(recs) == 6
-    assert sum(sum(lift_profile(r)[:2]) for r in recs) == 14
-    profiles = sorted(lift_profile(r)[:2] for r in recs)
+    assert sum(sum(lift_profile(r)) for r in recs) == 14
+    profiles = sorted(lift_profile(r) for r in recs)
     assert profiles == [(0, 1), (0, 1), (1, 1), (2, 1), (2, 1), (3, 1)]
 
 
 def test_stratum_twelve():
     recs = stratum(12)
     assert len(recs) == 28
-    assert sum(sum(lift_profile(r)[:2]) for r in recs) == 69
+    assert sum(sum(lift_profile(r)) for r in recs) == 69
     assert sum(lift_profile(r).one_to_one for r in recs) == 41
     assert sum(lift_profile(r).two_to_one for r in recs) == 28
 

@@ -5,14 +5,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from modk3.generate import enumerate_classes
-from modk3.hypermap import (
-    Hypermap, compose, cusp_widths, cycle_type, subgroup_type,
-)
+from modk3.hypermap import Hypermap, compose, cusp_widths, subgroup_type
 from modk3.slwords import (
     I2, Mat2, S, T, T_INV, coset_action, eval_word, random_sl2, word_of_matrix,
 )
 
-from helpers import identity_perm, member_sign, perm_from_cycles, word_perm
+from helpers import (
+    cycle_type, identity_perm, member_sign, perm_from_cycles, word_perm,
+)
 
 FULL = Hypermap((0,), (0,))
 H1 = Hypermap(perm_from_cycles(4, (1, 2, 3)),
