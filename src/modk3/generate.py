@@ -9,7 +9,7 @@ keeps exactly one of them.
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    _candidate_roots, _face_widths, _root_code, _type_with_faces, from_code,
+    _candidate_roots, _face_count, _face_walk, _genus, _root_code, from_code,
 )
 
 MAX_INDEX = 255        # the canonical code stores the index in one byte
@@ -98,6 +98,11 @@ def _classes_at(n, genus_filter, torsion_free):
     without a walk, and root 0 is compared with the other candidates only.
     The tally counts the leaves that pass the genus filter, before the
     canonicity test.
+
+    The genus comes from Riemann-Hurwitz (_genus).  A torsion-free leaf has
+    e2 = e3 = 0, so only its faces are counted: g = 0 exactly when there are
+    n/6 + 2 of them.  Any other leaf has its full type read, fixed points
+    included.
     """
     codes = []
     leaves = 0
@@ -107,8 +112,12 @@ def _classes_at(n, genus_filter, torsion_free):
         # the lists as they stand, with no Hypermap copy or validate: every
         # leaf is a dessin, and the type is read before the search moves on
         if genus_filter is not None:
-            pair = (sigma, alpha)
-            if _type_with_faces(pair, len(_face_widths(pair))).g != genus_filter:
+            if torsion_free:
+                g = _genus(n, _face_count(sigma, alpha), 0, 0)
+            else:
+                widths, e2, e3 = _face_walk((sigma, alpha))
+                g = _genus(n, len(widths), e2, e3)
+            if g != genus_filter:
                 return
         leaves += 1
         roots = _candidate_roots(sigma, alpha)

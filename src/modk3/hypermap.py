@@ -13,10 +13,11 @@ must not be changed in isolation.
 Permutations are tuples of images: p[i] is the image of i.
 
 Here: permutation helpers, the Hypermap pair and validate, the one check
-of a dessin, the type (n; g, h, e2, e3) and cusp widths from one face
-walk, the canonical code with the roots that tie it from one walk over
-the candidate roots, the test of a torsion-free dessin against a given
-code that stops at the first tying root, and the automorphism group
+of a dessin, the type (n; g, h, e2, e3) and cusp widths from one pass over
+the edges, the canonical code with the roots that tie it from one walk
+over the candidate roots, the proof that a code is the canonical code of
+the dessin it decodes to, the test of a torsion-free dessin against a
+given code that stops at the first tying root, and the automorphism group
 those tying roots give, with its action on faces and loops.  The public
 entries validate their pair; the private walks trust theirs.
 """
@@ -143,63 +144,82 @@ def _reach_order(sigma, alpha, root):
 SubgroupType = namedtuple("SubgroupType", "n g h e2 e3")
 
 
-def _face_widths(h):
-    """Lengths of the cycles of phi = sigma*alpha, in the order of their
-    smallest edges, from one walk that marks each edge in a bytearray.
+def _face_walk(h):
+    """(face widths, e2, e3) of the dessin h from one pass over its edges.
 
-    h is a dessin, unchecked: a Hypermap, or the search's (sigma, alpha)
-    lists.  Each walk starts at the least unmarked edge and runs until it
-    comes back to it.
+    The widths are the cycle lengths of phi = sigma*alpha in the order of
+    their smallest edges: each walk starts at the least unmarked edge and
+    marks the edges of its face until it comes back.  The same pass counts
+    the alpha (e2) and sigma (e3) fixed points.  h is a dessin, unchecked.
     """
     sigma, alpha = h
-    seen = bytearray(len(sigma))
+    seen = [False] * len(sigma)
     widths = []
+    e2 = e3 = 0
     for start in range(len(sigma)):
+        if alpha[start] == start:
+            e2 += 1
+        if sigma[start] == start:
+            e3 += 1
         if seen[start]:
             continue
-        seen[start] = 1
-        e = sigma[alpha[start]]
-        w = 1
-        while e != start:
-            seen[e] = 1
+        e = start
+        w = 0
+        while not seen[e]:
+            seen[e] = True
             w += 1
             e = sigma[alpha[e]]
         widths.append(w)
-    return widths
+    return widths, e2, e3
 
 
-def _type_with_faces(h, faces):
-    """SubgroupType of the pair h once its number of faces is known.
+def _face_count(sigma, alpha):
+    """Number of cycles of phi = sigma*alpha, from _face_walk's walk with
+    only the count kept: the search's torsion-free genus test, where
+    e2 = e3 = 0 and no width is read."""
+    seen = [False] * len(sigma)
+    faces = 0
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        faces += 1
+        e = start
+        while not seen[e]:
+            seen[e] = True
+            e = sigma[alpha[e]]
+    return faces
+
+
+def _genus(n, faces, e2, e3):
+    """Genus of a dessin with n edges from its counts, by Riemann-Hurwitz:
+    12g = 12 + n - 3e2 - 4e3 - 6h.
 
     The search's leaves reach it unvalidated, so it keeps its own check: a
     negative or fractional genus is a DomainError.
     """
-    sigma, alpha = h
-    n = len(sigma)
-    e2 = len(fixed_points(alpha))
-    e3 = len(fixed_points(sigma))
     g, rest = divmod(12 + n - 3 * e2 - 4 * e3 - 6 * faces, 12)
     if rest or g < 0:
         raise DomainError(f"Riemann-Hurwitz broke: 12g = {12 * g + rest}")
-    return SubgroupType(n, g, faces, e2, e3)
+    return g
 
 
 def subgroup_type(h):
     """Type (n; g, h, e2, e3) of the subgroup matching h.
 
-    e2/e3 count alpha/sigma fixed points, h counts faces (one walk of
-    _face_widths, no phi or cycle tuples), and the genus comes out of
-    Riemann-Hurwitz: 12g = 12 + n - 3e2 - 4e3 - 6h.  h is validated first.
+    e2/e3 count alpha/sigma fixed points and h counts faces, all from one
+    pass of _face_walk (no phi or cycle tuples), and the genus comes out of
+    Riemann-Hurwitz (_genus).  h is validated first.
     """
     validate(h)
-    return _type_with_faces(h, len(_face_widths(h)))
+    widths, e2, e3 = _face_walk(h)
+    return SubgroupType(h.n, _genus(h.n, len(widths), e2, e3), len(widths), e2, e3)
 
 
 def cusp_widths(h):
     """Descending cycle lengths of the face permutation of the validated
     dessin h; they sum to n."""
     validate(h)
-    return tuple(sorted(_face_widths(h), reverse=True))
+    return tuple(sorted(_face_walk(h)[0], reverse=True))
 
 
 # ------------------------------------------------------------ canonical code
@@ -220,11 +240,11 @@ def _root_code(sigma, alpha, root, best):
     new[root] = 0
     order = [root]                           # old labels in discovery order
     k = 1                                    # len(order), the next new label
-    sig = [0] * n
-    alp = [0] * n
+    sig = []
+    alp = []
     tied = best is not None
-    for i in range(n):
-        e = order[i]
+    i = 1                                    # best's byte for the next sigma
+    for e in order:                  # the loop also visits what it appends
         f = sigma[e]
         s = new[f]
         if s < 0:
@@ -232,18 +252,19 @@ def _root_code(sigma, alpha, root, best):
             k += 1
             order.append(f)
         if tied:
-            b = best[1 + i]
+            b = best[i]
             if s > b:
                 return None
             tied = s == b
+            i += 1
+        sig.append(s)
         f = alpha[e]
         a = new[f]
         if a < 0:
             a = new[f] = k
             k += 1
             order.append(f)
-        sig[i] = s
-        alp[i] = a
+        alp.append(a)
     if tied:
         tail, best_tail = bytes(alp), best[1 + n:]
         if tail > best_tail:
@@ -300,6 +321,43 @@ def canonical_form(h):
         elif code is not None:
             best, ties = code, [root]
     return best, ties
+
+
+def _canonical_ties(h, code):
+    """|Aut| of the dessin h if code, the code h was decoded from
+    (from_code), is its canonical code; 0 if it is not.
+
+    Root 0 relabels nothing exactly when its breadth-first walk discovers
+    the edges in label order, so on a transitive pair one scan of the
+    sigma and alpha images, in the order the walk reads them, proves that
+    root 0 walks to code.  The other candidate roots are walked against
+    code, abandoned at the first byte above it.  One that gives a smaller
+    code refutes it; the ones that tie it are, with root 0, the Aut-orbit
+    that canonical_form counts.  A root 0 that is no candidate loses to
+    the candidates at sigma byte 1 or 2, which the walks find.  No
+    canonical code is derived: canonical_form is for naming the code that
+    a refused one should be.
+    """
+    sigma, alpha = h
+    k = 1                                    # edges discovered so far
+    for s, a in zip(sigma, alpha):
+        if s == k:
+            k += 1
+        elif s > k:
+            return 0
+        if a == k:
+            k += 1
+        elif a > k:
+            return 0
+    ties = 1
+    for root in _candidate_roots(sigma, alpha):
+        if root:
+            walked = _root_code(sigma, alpha, root, code)
+            if walked is code:
+                ties += 1
+            elif walked is not None:
+                return 0
+    return ties
 
 
 def _is_walk_code(h, code):

@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import enumerate_classes
-from .hypermap import _automorphism_group, canonical_form, from_code
+from .hypermap import _automorphism_group, from_code
 from .torsion import expand_classes
 
 LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one")
@@ -111,10 +111,14 @@ def stored_lifts(rec):
 
 
 def _tf_expansion_counts(n):
-    """{tf code hex: number of classes over it} for torsion-free index n."""
+    """{tf code hex: number of classes over it} for torsion-free index n.
+
+    enumerate_classes decodes each class from its canonical code, so the
+    pair's own bytes are that code.
+    """
     counts = {}
     for h in enumerate_classes(n, genus=0, torsion_free=True):
-        counts[canonical_form(h)[0].hex()] = len(expand_classes(h))
+        counts[bytes((h.n, *h.sigma, *h.alpha)).hex()] = len(expand_classes(h))
     return counts
 
 

@@ -46,19 +46,22 @@ _T_STEP = {"T": 1, "T^-1": -1}
 def eval_word(word):
     """Left-to-right product of the letters' matrices.
 
-    A run of k equal T or T^-1 letters is multiplied in as the one matrix
-    T^(+-k) = Mat2(1, +-k, 0, 1), so the cost follows the number of runs,
-    not the word's length; S letters are multiplied one at a time.
+    The product is kept as four plain integers and made a Mat2, which
+    checks its determinant, once at the end.  Each run of equal letters is
+    counted in C and multiplied in at once: k T or T^-1 letters as
+    T^(+-k) = (1, +-k; 0, 1), and k S letters as S^(k mod 4), since S^4 = I.
+    The cost follows the number of runs, not the word's length.
     """
-    m = I2
+    a, b, c, d = 1, 0, 0, 1
     for letter, run in groupby(word):
-        k = sum(1 for _ in run)
+        k = len(list(run))
         if letter == "S":
-            for _ in range(k):
-                m = m * S
+            for _ in range(k % 4):
+                a, b, c, d = b, -a, d, -c          # times S = (0, -1; 1, 0)
         else:
-            m = m * Mat2(1, _T_STEP[letter] * k, 0, 1)
-    return m
+            k *= _T_STEP[letter]
+            b, d = a * k + b, c * k + d            # times (1, k; 0, 1)
+    return Mat2(a, b, c, d)
 
 
 def word_of_matrix(m):

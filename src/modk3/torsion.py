@@ -19,7 +19,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import DegenerateSubstitution, DomainError
-from .hypermap import Hypermap, _automorphism_group
+from .hypermap import Hypermap, _automorphism_group, fixed_points
 
 KEEP = "keep"
 WHITE = "white"
@@ -97,8 +97,8 @@ def tf_retract(h):
     sigma = list(h.sigma)
     alpha = list(h.alpha)
     m = len(sigma)
-    sigma_fixed = [e for e in range(m) if sigma[e] == e]
-    alpha_fixed = [e for e in range(m) if alpha[e] == e]
+    sigma_fixed = fixed_points(sigma)
+    alpha_fixed = fixed_points(alpha)
     n = m + 2 * len(sigma_fixed) + 3 * len(alpha_fixed)
     sigma.extend(range(m, n))
     alpha.extend(range(m, n))

@@ -196,6 +196,57 @@ def test_validation_failures(tmp_path):
             assert "line 1" in str(exc) and name in str(exc)
 
 
+def relabelled_code(rec):
+    """A code of rec's dessin under another labelling: not canonical."""
+    h = from_code(bytes.fromhex(rec.canonical_code))
+    for shift in range(1, h.n + 1):
+        g = relabel(h, tuple(range(shift, h.n)) + tuple(range(shift)))
+        code = bytes([g.n, *g.sigma, *g.alpha]).hex()
+        if code != rec.canonical_code:
+            return code
+    raise AssertionError(f"no relabelling of {rec.id} moves its code")
+
+
+def test_each_tampered_field_is_named_with_its_line(tmp_path, full_catalog):
+    # a torsion-free record, one with e2 > 0 and one with e3 > 0, each with
+    # hex letters in its code; every field but id gets a wrong value of the
+    # right type, the code also an upper-case and a relabelled copy.  Each
+    # is one ValidationError naming the line and that field
+    picks = [next(r for r in full_catalog if test(r) and re.search(
+                 "[a-f]", r.canonical_code))
+             for test in (lambda r: not (r.e2 or r.e3), lambda r: r.e2 > 0,
+                          lambda r: r.e2 == 0 and r.e3 > 0)]
+    path = tmp_path / "tampered.jsonl"
+    for rec in picks:
+        first = next(r for r in full_catalog if r.tf_code != rec.tf_code)
+        wrong = {
+            "canonical_code": [rec.canonical_code.upper(), relabelled_code(rec)],
+            "index": [rec.index + 1], "genus": [rec.genus + 1],
+            "h": [rec.h + 1], "e2": [rec.e2 + 1], "e3": [rec.e3 + 1],
+            "cusp_widths": [[rec.cusp_widths[0] + 1] + rec.cusp_widths[1:]],
+            "aut_order": [rec.aut_order + 1],
+            "loop_count": [rec.loop_count + 1], "tf_code": [first.tf_code],
+            "assignment": [{"white": rec.e3 + 1, "black": rec.e2}],
+            "lift_one_to_one": [rec.lift_one_to_one + 1],
+            "lift_two_to_one": [rec.lift_two_to_one + 1],
+        }
+        assert list(wrong) == list(catalog.FIELDS[1:])
+        for name, values in wrong.items():
+            for value in values:
+                obj = json.loads(catalog.record_to_json(rec))
+                assert obj[name] != value
+                obj[name] = value
+                path.write_text(catalog.record_to_json(first) + "\n"
+                                + json.dumps(obj) + "\n", encoding="utf-8")
+                try:
+                    catalog.read_records(path)
+                    assert False, f"{rec.id}: {name} = {value!r} was accepted"
+                except ValidationError as exc:
+                    assert str(exc).startswith(
+                        f"line 2: record {rec.id}: {name} is {value!r}, "
+                        f"the code gives "), exc
+
+
 def test_lift_counts_outside_the_k3_range_are_refused(tmp_path):
     # genus-1 classes are never K3 monodromy groups, so no lift count fits
     path = tmp_path / "tf12.jsonl"
@@ -570,22 +621,44 @@ def non_minimal_tf_code(rec):
 
 def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
     # each torsion record is retracted once and its retraction only tested
-    # against the stored tf code; the canonical walks are one per record
-    # and one per distinct tf code, of the dessin that code decodes to
+    # against the stored tf code.  Each code is proved canonical against its
+    # own bytes: one proof per record and one per distinct tf code, of the
+    # dessin that code decodes to.  A valid read makes no canonical walk;
+    # one runs only to name the code that a refused record should store
     recs = k12_lift_records()
     path = tmp_path / "k12_lifts.jsonl"
     catalog.write_records(path, recs)
-    retracts, walked = [], []
-    retract, form = catalog.tf_retract, catalog.canonical_form
+    retracts, proved, walked = [], [], []
+    retract, ties, form = (catalog.tf_retract, catalog._canonical_ties,
+                           catalog.canonical_form)
     monkeypatch.setattr(catalog, "tf_retract",
                         lambda h: retracts.append(retract(h)) or retracts[-1])
+    monkeypatch.setattr(catalog, "_canonical_ties",
+                        lambda h, code: proved.append((h, code)) or ties(h, code))
     monkeypatch.setattr(catalog, "canonical_form",
                         lambda h: walked.append(h) or form(h))
     assert len(catalog.read_records(path)) == len(recs)
     torsion_recs = [r for r in recs if r.e2 or r.e3]
     assert len(retracts) == len(torsion_recs)
-    assert not any(h is r for h in walked for r in retracts)
-    assert len(walked) == len(recs) + len({r.tf_code for r in torsion_recs})
+    assert walked == []
+    assert not any(h is r for h, _ in proved for r in retracts)
+    assert all(h == from_code(code) for h, code in proved)
+    assert sorted(code.hex() for _, code in proved) == sorted(
+        [r.canonical_code for r in recs] + list({r.tf_code for r in torsion_recs}))
+
+    tf = next(r for r in recs if not (r.e2 or r.e3))
+    h = from_code(bytes.fromhex(tf.canonical_code))
+    g = relabel(h, tuple(reversed(range(h.n))))
+    stored = bytes([g.n, *g.sigma, *g.alpha]).hex()
+    assert stored != tf.canonical_code
+    catalog.write_records(path, [tf._replace(canonical_code=stored)])
+    try:
+        catalog.read_records(path)
+        assert False, "a relabelled code was accepted"
+    except ValidationError as exc:
+        assert str(exc) == (f"line 1: record {tf.id}: canonical_code is "
+                            f"{stored!r}, the code gives {tf.canonical_code!r}")
+    assert walked == [g]
 
 
 def test_read_refuses_a_tf_code_that_is_not_canonical(tmp_path):

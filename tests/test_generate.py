@@ -118,6 +118,31 @@ def test_classes_at_keeps_each_class_once():
                 assert all(canonical_code(from_code(c)) == c for c in got)
 
 
+def test_tf_genus_zero_leaves_are_the_rooted_planar_cubic_maps():
+    # a torsion-free leaf has genus 0 iff it has n/6 + 2 faces, and those
+    # leaves are the rooted planar cubic maps with n/3 vertices: A002005,
+    # 2^(2k+1) (3k)!! / ((k+2)! k!!) for k = n/6 (Mullin-Tutte)
+    for n, leaves, classes in ((6, 4, 2), (12, 32, 6), (18, 336, 26),
+                               (24, 4096, 191)):
+        got, kept = _classes_at(n, 0, True)
+        assert (kept, len(got)) == (leaves, classes), n
+
+
+def test_genus_filter_agrees_with_the_type_of_each_class():
+    # the search reads a leaf's genus from its face count alone when it is
+    # torsion-free and from its full type otherwise; both must keep exactly
+    # the classes whose type has that genus
+    for n, tf in [(n, False) for n in range(1, 10)] + [(6, True), (12, True)]:
+        every = enumerate_classes(n, torsion_free=tf)
+        for g in (0, 1):
+            want = [h for h in every if subgroup_type(h).g == g]
+            assert enumerate_classes(n, genus=g, torsion_free=tf) == want, (n, tf, g)
+    # index 12 has torsion-free classes of genus 1, so the face-count test
+    # meets a genus other than 0
+    assert any(subgroup_type(h).g == 1
+               for h in enumerate_classes(12, torsion_free=True))
+
+
 def test_rooted_counts_match_hall_past_the_oracle():
     # Hall (1949): PSL(2,Z) = Z/2 * Z/3 has a_13 = 1729 and a_14 = 2198
     # subgroups of index 13 and 14, past ORACLE_MAX

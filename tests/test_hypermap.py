@@ -1,14 +1,15 @@
 """Permutation plumbing, type invariants, canonical codes, automorphisms."""
 
+import itertools
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 from modk3.errors import DomainError, Modk3Error, NotTransitive, OrderViolation
 from modk3.hypermap import (
-    Hypermap, _candidate_roots, _type_with_faces, automorphism_group,
-    canonical_code, canonical_form, compose, cusp_widths, cycles, fixed_points,
-    from_code, inverse, subgroup_type, validate,
+    Hypermap, _canonical_ties, _candidate_roots, _face_count, _genus,
+    automorphism_group, canonical_code, canonical_form, compose, cusp_widths,
+    cycles, fixed_points, from_code, inverse, subgroup_type, validate,
 )
 
 from helpers import (
@@ -290,9 +291,10 @@ def test_subgroup_type_refuses_a_non_dessin():
     except NotTransitive:
         pass
     # the search's leaves reach the type unvalidated, so it keeps its own
-    # check: 12g = -12 is no genus at all
+    # check: 2 edges, 2 faces and 2 fixed points each way give 12g = -12,
+    # no genus at all
     try:
-        _type_with_faces(h, 2)
+        _genus(2, 2, 2, 2)
         assert False, "Riemann-Hurwitz violation was accepted"
     except DomainError as exc:
         assert "Riemann-Hurwitz" in str(exc)
@@ -381,6 +383,21 @@ def test_canonical_code_matches_reference(h, data):
         candidates = _candidate_roots(g.sigma, g.alpha)
         assert candidates == [r for r in range(g.n) if codes[r][1:3] == least]
         assert all(r in candidates for r in range(g.n) if codes[r] == want)
+        # a read proves a stored code against its own bytes: each root's
+        # code, and any labelling, passes with the tie count iff it is the
+        # canonical code, and is refused with 0 otherwise
+        for c in set(codes) | {bytes([g.n, *g.sigma, *g.alpha])}:
+            assert _canonical_ties(from_code(c), c) == (
+                len(roots) if c == want else 0)
+    # and so is every labelling one transposition of labels away from the
+    # canonical one, which its breadth-first walk from edge 0 tells apart
+    aut = len(canonical_form(h)[1])
+    for x, y in itertools.combinations(range(h.n), 2):
+        p = list(range(h.n))
+        p[x], p[y] = y, x
+        t = relabel(from_code(want), p)
+        c = bytes([t.n, *t.sigma, *t.alpha])
+        assert _canonical_ties(t, c) == (aut if c == want else 0)
 
 
 def test_automorphism_group_matches_the_reference_on_the_catalog(full_catalog):
@@ -396,6 +413,7 @@ def test_automorphism_group_matches_the_reference_on_the_catalog(full_catalog):
 def test_face_walk_matches_phi_cycles(h):
     faces = cycles(h.phi())
     assert subgroup_type(h).h == len(faces)
+    assert _face_count(h.sigma, h.alpha) == len(faces)
     assert cusp_widths(h) == tuple(sorted((len(f) for f in faces), reverse=True))
     assert loop_count(h) == sum(1 for f in faces if len(f) == 1)
 
