@@ -17,7 +17,7 @@ from collections import namedtuple
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import enumerate_classes
 from .hypermap import _automorphism_group, from_code
-from .torsion import expand_classes
+from .torsion import expand_classes, orbit_representatives
 
 LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one")
 
@@ -38,41 +38,23 @@ def tf_index(rec):
     return bytes.fromhex(rec.tf_code)[0]
 
 
-def star_orbit_count(rec, parity, max_size):
-    """Aut-orbits of face subsets with size <= max_size, size = parity mod 2.
-
-    These are the inequivalent ways to place *-fibres on a torsion-free
-    dessin; parity comes from 12 | (6k + 6 * #stars).
-    """
+def star_orbit_count(rec, k):
+    """Aut-orbits of face subsets of size at most 4 - k and of the parity
+    of k: the inequivalent ways to place *-fibres on a torsion-free
+    dessin of index 6k; the parity comes from 12 | (6k + 6 * #stars)."""
     if rec.e2 or rec.e3:
         raise DomainError("star placement lives on tf dessins")
     aut = _automorphism_group(_decode(rec))
-    nfaces = len(aut.faces)
-    reps = 0
-    for bits in range(1 << nfaces):
-        subset = [i for i in range(nfaces) if bits >> i & 1]
-        if len(subset) > max_size or len(subset) % 2 != parity:
-            continue
-        orbit_min = min(tuple(sorted(fa[i] for i in subset))
-                        for fa in aut.face_action)
-        if orbit_min == tuple(subset):
-            reps += 1
-    return reps
-
-
-def face_orbit_count(rec):
-    """Number of Aut-orbits of single faces of the record's own dessin."""
-    aut = _automorphism_group(_decode(rec))
-    return sum(1 for i in range(len(aut.faces))
-               if min(fa[i] for fa in aut.face_action) == i)
+    return sum(1 for v in orbit_representatives(aut.face_action, (0, 1))
+               if sum(v) <= 4 - k and sum(v) % 2 == k % 2)
 
 
 def lift_profile(rec):
     """(1:1 count, 2:1 count) of K3-realized lift classes; rec's code
     must be a dessin's, as a read or the record build gives (unchecked).
     k = 4, e3 > 0 has one lift of a kind not pinned down, counted 1:1.
-    Genus > 0 and tf index > 24 are refused before any walk; only orbit
-    rules at k < 4 walk, to one automorphism group and 2^(k+2) face subsets."""
+    Genus > 0 and tf index > 24 are refused before any walk; only the star
+    rule walks, on tf records at k < 4, to Aut and 2^(k+2) face subsets."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
     k6 = tf_index(rec)
@@ -88,17 +70,15 @@ def lift_profile(rec):
     if k == 4:
         return LiftProfile(1, 0)
     if rec.e3 == 0:
-        stars = star_orbit_count(rec, parity=k % 2, max_size=(24 - 6 * k) // 6)
-        return LiftProfile(stars, 1)
+        return LiftProfile(star_orbit_count(rec, k), 1)
     if k == 1:
         return LiftProfile({1: 2, 2: 1}[rec.e3], 1)
     if k == 2:
-        if rec.e3 == 1:
-            orbits = face_orbit_count(rec)
-            if orbits != 3:
-                raise ValidationError(f"expected 3 face orbits, found {orbits}")
-            return LiftProfile(orbits, 1)
-        return LiftProfile({2: 1, 3: 0}[rec.e3], 1)
+        # e3 = 1 counts face orbits: tf index 12 = n + 2 e3 gives n = 10, 4
+        # sigma and 5 alpha cycles, so genus 0 leaves 2 + 10 - 4 - 5 = 3
+        # faces; every automorphism fixes the one sigma-fixed edge and Aut
+        # acts freely on edges, so Aut is trivial and there are 3 orbits
+        return LiftProfile({1: 3, 2: 1, 3: 0}[rec.e3], 1)
     return LiftProfile(1 if rec.e3 == 1 else 0, 1)       # k == 3
 
 

@@ -95,6 +95,24 @@ def test_criterion_2_partitions_and_symmetries(full_catalog):
           f"symmetry orders ({time.time() - t0:.1f}s)")
 
 
+def test_cusp_widths_match_the_classical_lists(full_catalog):
+    # the I_n fibres of a semistable elliptic surface are the cusp widths
+    # of its j-map's monodromy, a tf genus-0 class: index 6 gives Gamma(2)
+    # and Gamma0(4), index 12 Beauville's six surfaces with four singular
+    # fibres (1982), index 24 the 112 configurations of extremal
+    # semistable K3 surfaces (Miranda-Persson 1989); index 18 has no list
+    parts = {}
+    for r in full_catalog:
+        if r.e2 == 0 and r.e3 == 0:
+            parts.setdefault(r.index, []).append(tuple(r.cusp_widths))
+    assert set(parts[6]) == {(2, 2, 2), (4, 1, 1)}
+    assert set(parts[12]) == {(9, 1, 1, 1), (8, 2, 1, 1), (5, 5, 1, 1),
+                              (6, 3, 2, 1), (4, 4, 2, 2), (3, 3, 3, 3)}
+    assert len(parts[24]) == 191
+    assert len(set(parts[24])) == 112
+    assert {len(p) for p in parts[24]} == {6}
+
+
 def test_criterion_3_strata_and_torsion_tables(full_catalog):
     t0 = time.time()
     cat = full_catalog

@@ -485,8 +485,9 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
         tmp_path, monkeypatch, full_catalog):
     # aut_order comes from the canonical walk, so the record build calls
     # automorphism_group nowhere and a read only where a tf record's lift
-    # rule counts star orbits; every namespace that binds the unchecked
-    # body counts, and the public name (torsion's) calls hypermap's
+    # rule counts star orbits, 2 + 6 + 26 of them at k < 4; every
+    # namespace that binds the unchecked body counts, and the public name
+    # (torsion's) calls hypermap's
     calls = []
     group = hypermap._automorphism_group
     for module in (hypermap, catalog, lifts):
@@ -502,7 +503,7 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     assert calls == []
     catalog.write_records(path, full_catalog)
     assert len(catalog.read_records(path)) == 3228
-    assert len(calls) == 38
+    assert len(calls) == 34
 
 
 def count_validate_calls(monkeypatch):

@@ -156,6 +156,21 @@ def test_the_lift_rules_run_only_where_the_counts_are_made_or_read():
         "lift_profile": {"catalog.validate_record", "catalog.add_lift_fields"}}
 
 
+def test_one_listing_of_orbit_representatives():
+    # expansion and star placement list their Aut-orbits through one helper
+    found = set()
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.alias) and node.name == "product"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "product"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "itertools"):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert found == {"torsion.orbit_representatives"}
+
+
 def test_cli_uses_only_public_catalog_names():
     # a private catalog helper in the CLI is how a second read path starts
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))

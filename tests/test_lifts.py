@@ -6,11 +6,11 @@ from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
 from modk3.generate import enumerate_classes
-from modk3.hypermap import canonical_code, cusp_widths, subgroup_type
-from modk3.lifts import (
-    face_orbit_count, lift_profile, star_orbit_count, totals,
-)
+from modk3.hypermap import canonical_code, cusp_widths, cycles, subgroup_type
+from modk3.lifts import lift_profile, star_orbit_count, totals
 from modk3.torsion import expand_classes
+
+from helpers import reference_automorphisms
 
 Rec = namedtuple("Rec", "e2 e3 genus tf_code canonical_code")
 
@@ -41,16 +41,16 @@ def by_widths(n, widths):
 
 
 def test_star_orbit_examples():
-    assert star_orbit_count(rec_of(h := by_widths(12, (3, 3, 3, 3)), h), 0, 2) == 2
-    assert star_orbit_count(rec_of(h := by_widths(6, (2, 2, 2)), h), 1, 3) == 2
-    assert star_orbit_count(rec_of(h := by_widths(6, (4, 1, 1)), h), 1, 3) == 3
+    assert star_orbit_count(rec_of(h := by_widths(12, (3, 3, 3, 3)), h), 2) == 2
+    assert star_orbit_count(rec_of(h := by_widths(6, (2, 2, 2)), h), 1) == 2
+    assert star_orbit_count(rec_of(h := by_widths(6, (4, 1, 1)), h), 1) == 3
 
 
 def test_star_orbits_index_twelve_row():
     want = {(3, 3, 3, 3): 2, (4, 4, 2, 2): 4, (5, 5, 1, 1): 5,
             (6, 3, 2, 1): 7, (8, 2, 1, 1): 5, (9, 1, 1, 1): 3}
     for h in tf_classes(12):
-        assert star_orbit_count(rec_of(h, h), 0, 2) == want[cusp_widths(h)]
+        assert star_orbit_count(rec_of(h, h), 2) == want[cusp_widths(h)]
 
 
 def test_lift_profile_examples():
@@ -80,14 +80,16 @@ def test_lift_profile_k24():
 
 
 def test_k2_e3_one_face_orbits():
-    # all four (e2=0, e3=1) classes over index 12 have exactly 3 face orbits
+    # the rule's proof: each of the four (e2=0, e3=1) classes over index 12
+    # has a trivial Aut and 3 faces, so 3 face orbits
     seen = 0
     for h in tf_classes(12):
         for _, sub in expand_classes(h):
             t = subgroup_type(sub)
             if (t.e2, t.e3) == (0, 1):
                 r = rec_of(sub, h)
-                assert face_orbit_count(r) == 3
+                assert len(reference_automorphisms(sub)) == 1
+                assert len(cycles(sub.phi())) == 3
                 assert lift_profile(r) == (3, 1)
                 seen += 1
     assert seen == 4
@@ -123,7 +125,7 @@ def test_out_of_range():
     except OutOfRange:
         pass
     for bad_call in (lambda: lift_profile(good._replace(tf_code="09")),
-                     lambda: star_orbit_count(good._replace(e3=1), 0, 1)):
+                     lambda: star_orbit_count(good._replace(e3=1), 1)):
         try:
             bad_call()
             assert False

@@ -15,8 +15,8 @@ from modk3.hypermap import (
     Hypermap,
 )
 from modk3.torsion import (
-    BLACK, KEEP, WHITE, burnside_count, expand_classes, loops, substitute,
-    tf_retract,
+    BLACK, KEEP, WHITE, burnside_count, expand_classes, loops,
+    orbit_representatives, substitute, tf_retract,
 )
 
 from helpers import perm_from_cycles, relabel
@@ -245,14 +245,17 @@ def test_expansions_are_pairwise_distinct():
 
 
 def test_expand_agrees_with_burnside():
-    # [4,1,1] is the only class in range with a degenerate assignment
-    for n in (6, 12):
+    # [4,1,1] is the only class in range with a degenerate assignment; the
+    # face subsets that the star rule sorts are counted by Burnside too
+    for n in (6, 12, 18, 24):
         for h in tf_classes(n):
             aut = automorphism_group(h)
             want = burnside_count(aut.loop_action, 3)
             if cusp_widths(h) == (4, 1, 1):
                 want -= 1
             assert len(expand_classes(h)) == want
+            assert len(list(orbit_representatives(aut.face_action, (0, 1)))) \
+                == burnside_count(aut.face_action, 2)
 
 
 def test_burnside_table_values():
@@ -262,6 +265,9 @@ def test_burnside_table_values():
     assert burnside_count(z3, 3) == 11
     assert burnside_count(z4, 3) == 24
     assert burnside_count(triv2, 3) == 9
+    for action, want in ((z3, 11), (z4, 24), (triv2, 9)):
+        assert len(list(orbit_representatives(action, (KEEP, WHITE, BLACK)))) \
+            == want
     # not a group: the orbit average 14/3 is no count
     try:
         burnside_count(((0, 1, 2), (0, 2, 1), (1, 2, 0)), 2)
