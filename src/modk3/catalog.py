@@ -26,7 +26,9 @@ from .hypermap import (
     canonical_form, cycles, from_code, validate,
 )
 from .lifts import _decode, lift_profile, stored_lifts, tf_index, totals
-from .torsion import burnside_count, expand_classes, tf_retract
+from .torsion import (
+    BLACK, KEEP, WHITE, expand_classes, orbit_representatives, tf_retract,
+)
 
 FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
           "cusp_widths", "aut_order", "loop_count", "tf_code", "assignment",
@@ -425,8 +427,10 @@ def report_k18(records):
 
 
 def report_k24(records):
-    """Index-24 tf graphs by loop count and symmetry, with Burnside factors;
-    only the tf index-24 records are walked, each to its automorphisms."""
+    """Index-24 tf graphs by loop count and symmetry, each with its number
+    of Aut-orbits of Keep/White/Black assignments (no assignment deletes
+    every edge at index 24, so each orbit is a class); only the tf
+    index-24 records are walked, each to its automorphisms."""
     rows = {}
     for rec in records:
         if tf_index(rec) != 24 or rec.e2 or rec.e3:
@@ -434,7 +438,8 @@ def report_k24(records):
         h = _decode(rec)
         aut = _automorphism_group(h)
         label = "any" if rec.loop_count == 0 else group_label(aut.elements)
-        mult = burnside_count(aut.loop_action, 3)
+        mult = sum(1 for _ in orbit_representatives(aut.loop_action,
+                                                    (KEEP, WHITE, BLACK)))
         key = (rec.loop_count, label)
         count, seen_mult = rows.get(key, (0, mult))
         if seen_mult != mult:

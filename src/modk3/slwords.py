@@ -22,23 +22,9 @@ class Mat2(namedtuple("Mat2", "a b c d")):
             raise ValueError(f"determinant is {a * d - b * c}, not 1")
         return super().__new__(cls, a, b, c, d)
 
-    def __mul__(self, other):
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
-
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
-    def inv(self):
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-
-I2 = Mat2(1, 0, 0, 1)
-S = Mat2(0, -1, 1, 0)
-T = Mat2(1, 1, 0, 1)
-T_INV = T.inv()
 
 _T_STEP = {"T": 1, "T^-1": -1}
 

@@ -146,29 +146,3 @@ def expand_classes(h_tf):
         except DegenerateSubstitution:
             pass
     return out
-
-
-def burnside_count(loop_action, options_per_loop):
-    """Orbits of per-loop option assignments under the given action.
-
-    Plain Burnside: average of options^(#cycles) over the group.
-    """
-    group_order = len(loop_action)
-    L = len(loop_action[0]) if loop_action else 0
-    total = 0
-    for la in loop_action:
-        seen = [False] * L
-        cycles = 0
-        for j in range(L):
-            if seen[j]:
-                continue
-            cycles += 1
-            k = j
-            while not seen[k]:
-                seen[k] = True
-                k = la[k]
-        total += options_per_loop ** cycles
-    if total % group_order:
-        raise DomainError("Burnside sum does not divide evenly; "
-                          "the action is not a group")
-    return total // group_order

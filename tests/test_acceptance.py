@@ -10,17 +10,17 @@ from collections import Counter
 
 from modk3 import catalog
 from modk3.errors import DegenerateSubstitution
-from modk3.euler import corollary_euler, minimal_euler, minimal_euler_tf
 from modk3.generate import enumerate_classes
 from modk3.hypermap import (
     Hypermap, automorphism_group, canonical_code, cycles, from_code,
     subgroup_type,
 )
 from modk3.slwords import coset_action
-from modk3.torsion import BLACK, burnside_count, substitute, tf_retract
+from modk3.torsion import BLACK, substitute, tf_retract
 
 from helpers import (
-    brute_force_oracle, cycle_type, perm_from_cycles, rooted_count,
+    brute_force_oracle, burnside_count, corollary_euler, cycle_type,
+    minimal_euler, minimal_euler_tf, perm_from_cycles, rooted_count,
     white_vertex_types, word_perm,
 )
 
@@ -228,7 +228,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_invariant_suite(full_catalog):
     t0 = time.time()
     cat = full_catalog
-    tf_codes = set()
+    tf_ids = {}
     for rec in cat:
         h = from_code(bytes.fromhex(rec.canonical_code))
         t = subgroup_type(h)                      # integrality asserted inside
@@ -242,7 +242,7 @@ def test_criterion_7_invariant_suite(full_catalog):
         assert rec.e2 + rec.e3 <= k6 // 6 + 1
         assert canonical_code(tf_retract(h)).hex() == rec.tf_code
         if rec.e2 == 0 and rec.e3 == 0:
-            tf_codes.add(rec.canonical_code)
+            tf_ids[rec.canonical_code] = rec.id
 
         aut = automorphism_group(h)
         types = white_vertex_types(h)
@@ -252,12 +252,17 @@ def test_criterion_7_invariant_suite(full_catalog):
                     assert aut.order % 3 == 0, rec.id
                     assert trip[0] == trip[1] == trip[2], rec.id
 
-    # every allowed substitution appears, short of exactly one degeneration
-    orbit_total = 0
-    for code in tf_codes:
+    # each tf class carries one record per Aut-orbit of its Keep/White/Black
+    # assignments, short of exactly one degeneration
+    over = Counter(rec.tf_code for rec in cat)
+    assert len(tf_ids) == 225 and set(over) == set(tf_ids)
+    mismatches = {}
+    for code, rec_id in tf_ids.items():
         h = from_code(bytes.fromhex(code))
-        orbit_total += burnside_count(automorphism_group(h).loop_action, 3)
-    assert orbit_total == len(cat) + 1
+        orbits = burnside_count(automorphism_group(h).loop_action, 3)
+        if orbits != over[code]:
+            mismatches[rec_id] = (orbits, over[code])
+    assert mismatches == {"4,1,1-A": (6, 5)}
     w411 = perm_from_cycles(6, (0, 2, 1), (3, 5, 4)), perm_from_cycles(
         6, (1, 2), (0, 3), (4, 5))
     try:

@@ -3,14 +3,14 @@
 from collections import namedtuple
 
 from modk3.errors import DomainError
-from modk3.euler import (
-    EulerInput, corollary_euler, euler_number, is_monodromy_at,
-    kodaira_fibre, minimal_euler, minimal_euler_tf, star_partner,
-)
 from modk3.hypermap import Hypermap, canonical_code
-from modk3.slwords import I2, Mat2
+from modk3.slwords import Mat2
 
-from helpers import perm_from_cycles
+from helpers import (
+    I2, EulerInput, corollary_euler, euler_number, is_monodromy_at,
+    kodaira_fibre, minimal_euler, minimal_euler_tf, mul, perm_from_cycles,
+    star_partner,
+)
 
 Rec = namedtuple("Rec", "genus tf_code")
 
@@ -38,7 +38,7 @@ def test_fibre_monodromies():
     acc = m
     for k in range(1, 6):
         assert acc != I2
-        acc = acc * m
+        acc = mul(acc, m)
     assert acc == I2
 
 
@@ -69,7 +69,7 @@ def test_fibre_traces():
         for _ in range(12):
             if acc == I2:
                 break
-            acc = acc * m
+            acc = mul(acc, m)
         assert acc == I2
 
 

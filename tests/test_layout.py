@@ -35,12 +35,12 @@ def test_no_empty_module_containers():
 
 def test_cli_start_loads_only_what_every_command_needs():
     # every command that runs loads the CLI and the catalog; the matrix
-    # words, the Euler numbers and the closed-form counts are imported by
-    # the commands that use them, and the records are named tuples, since
-    # dataclasses pulls in inspect, ast and dis
+    # words and the closed-form counts are imported by the commands that
+    # use them, and the records are named tuples, since dataclasses pulls
+    # in inspect, ast and dis
     code = ("import sys, modk3.cli, modk3.catalog\n"
             "for name in ('fractions', 'decimal', 'dataclasses', 'inspect',\n"
-            "             'modk3.slwords', 'modk3.euler', 'modk3.counts'):\n"
+            "             'modk3.slwords', 'modk3.counts'):\n"
             "    if name in sys.modules:\n"
             "        print(name)\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
@@ -216,8 +216,9 @@ def _python_api_block():
 def test_every_public_definition_is_reached():
     # start from the CLI entry point, the package's own imports, the README
     # API example and what the benchmark binds, and follow every name used
-    # in a reached top-level definition; a public function or class that
-    # nothing reaches is test-only code and belongs beside the tests
+    # in a reached top-level definition; a public function, class or
+    # module-level name that nothing reaches is test-only code and belongs
+    # beside the tests
     defs = {}        # top-level name -> [(module, node)]
     for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -243,10 +244,7 @@ def test_every_public_definition_is_reached():
                 reached.add((mod, name))
                 todo |= _used_names(node)
 
-    # euler.py waits for the lift check that is to give it a path
     unreached = sorted(f"{mod}.{name}" for name, found in defs.items()
-                       for mod, node in found
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not name.startswith("_") and mod != "euler"
-                       and (mod, name) not in reached)
+                       for mod, _ in found
+                       if not name.startswith("_") and (mod, name) not in reached)
     assert unreached == []

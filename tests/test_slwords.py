@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from modk3.generate import enumerate_classes
 from modk3.hypermap import Hypermap, compose, cusp_widths, subgroup_type
 from modk3.slwords import (
-    I2, Mat2, S, T, T_INV, coset_action, eval_word, random_sl2, word_of_matrix,
+    Mat2, coset_action, eval_word, random_sl2, word_of_matrix,
 )
 
 from helpers import (
-    cycle_type, identity_perm, member_sign, perm_from_cycles, word_perm,
+    I2, S, T, T_INV, cycle_type, identity_perm, inv, member_sign, mul,
+    perm_from_cycles, word_perm,
 )
 
 FULL = Hypermap((0,), (0,))
@@ -21,11 +22,11 @@ H2 = Hypermap((0, 1), (1, 0))
 
 
 def test_mat2_basics():
-    assert S * S == -I2
-    assert T * T_INV == I2
-    assert S.inv() == -S
+    assert mul(S, S) == -I2
+    assert mul(T, T_INV) == I2
+    assert inv(S) == -S
     m = Mat2(2, 1, 1, 1)
-    assert m * m.inv() == I2
+    assert mul(m, inv(m)) == I2
     try:
         Mat2(1, 0, 0, 2)
         assert False
@@ -44,7 +45,7 @@ def letter_product(word):
     """eval_word's definition, one matrix product per letter."""
     m = I2
     for letter in word:
-        m = m * {"S": S, "T": T, "T^-1": T_INV}[letter]
+        m = mul(m, {"S": S, "T": T, "T^-1": T_INV}[letter])
     return m
 
 
@@ -149,7 +150,7 @@ def test_index_two_membership():
     assert member and sign == -1
     # T has infinite order and H2's single cusp has width 2
     assert not member_sign(H2, 0, T)[0]
-    assert member_sign(H2, 0, T * T)[0]
+    assert member_sign(H2, 0, mul(T, T))[0]
 
 
 def test_membership_is_root_covariant():
@@ -161,7 +162,7 @@ def test_membership_is_root_covariant():
             g = random_sl2(rng, bound=20)
             gw, _ = word_of_matrix(g)
             root = rng.randrange(h.n)
-            conj = g * m * g.inv()
+            conj = mul(mul(g, m), inv(g))
             moved = word_perm(h, gw)[root]
             assert member_sign(h, root, m)[0] == member_sign(h, moved, conj)[0]
 

@@ -15,11 +15,11 @@ from modk3.hypermap import (
     Hypermap,
 )
 from modk3.torsion import (
-    BLACK, KEEP, WHITE, burnside_count, expand_classes, loops,
-    orbit_representatives, substitute, tf_retract,
+    BLACK, KEEP, WHITE, expand_classes, loops, orbit_representatives,
+    substitute, tf_retract,
 )
 
-from helpers import perm_from_cycles, relabel
+from helpers import burnside_count, perm_from_cycles, relabel
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
                 perm_from_cycles(6, (1, 2), (0, 3), (4, 5)))
@@ -246,10 +246,14 @@ def test_expansions_are_pairwise_distinct():
 
 def test_expand_agrees_with_burnside():
     # [4,1,1] is the only class in range with a degenerate assignment; the
-    # face subsets that the star rule sorts are counted by Burnside too
+    # face subsets that the star rule sorts are counted by Burnside too;
+    # loops and the loop action list the loops in one order, so that an
+    # assignment means the same to substitute as to the orbit listing
     for n in (6, 12, 18, 24):
         for h in tf_classes(n):
             aut = automorphism_group(h)
+            assert [s.fixed_edge for s in loops(h)] == \
+                [aut.faces[i][0] for i in aut.loops]
             want = burnside_count(aut.loop_action, 3)
             if cusp_widths(h) == (4, 1, 1):
                 want -= 1
