@@ -8,7 +8,9 @@ proved canonical against its own bytes, the rest is derived as the record
 build derives it and compared.  A torsion record's tf code is checked by
 an isomorphism test against its retraction, and each distinct tf code is
 proved canonical once per read.  The reports then read the stored lift
-counts, which the read has proved.
+counts, which the read has proved.  Records of one read_records,
+enumerate_records or expand_records call share equal repeated values
+through one table, a local of that call.
 IDs are human-facing: cusp-width partition plus a letter counting classes
 with that partition in canonical-code order ("4,1,1-A").
 """
@@ -34,11 +36,12 @@ FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
           "cusp_widths", "aut_order", "loop_count", "tf_code", "assignment",
           "lift_one_to_one", "lift_two_to_one")
 
-# immutable: _replace derives a changed copy; the lift counts default to None
+# immutable: _replace derives a changed copy; the lift counts default to None.
+# Records of one command share equal list and dict values: never write them
 DessinRecord = namedtuple("DessinRecord", FIELDS, defaults=(None, None))
 
 
-def _derived_record(h, code, aut_order, retraction_code):
+def _derived_record(h, code, aut_order, retraction_code, shared):
     """The (id-less) record of the dessin h with canonical code `code`
     (bytes) and aut_order roots that tie it; unchecked.
 
@@ -46,20 +49,37 @@ def _derived_record(h, code, aut_order, retraction_code):
     A torsion-free dessin is its own retraction, so its tf_code is its own
     code; only a torsion dessin's is asked of retraction_code(), which
     retracts it.  The record build and the read both derive a record here.
+    shared, the command's table of repeated values, maps a canonical tf
+    code to itself, a width tuple to its list and an assignment's items to
+    its dict; the record takes its widths and assignment from it.
     """
     n = len(h.sigma)
     widths, e2, e3 = _face_walk(h)
+    widths.sort(reverse=True)
     hex_code = code.hex()
+    tf_code = retraction_code() if e2 or e3 else hex_code
     return DessinRecord(
         id=None,
         canonical_code=hex_code,
         index=n, genus=_genus(n, len(widths), e2, e3), h=len(widths),
         e2=e2, e3=e3,
-        cusp_widths=sorted(widths, reverse=True),
+        cusp_widths=shared.setdefault(tuple(widths), widths),
         aut_order=aut_order,
         loop_count=widths.count(1),
-        tf_code=retraction_code() if e2 or e3 else hex_code,
-        assignment={"white": e3, "black": e2})
+        tf_code=tf_code,
+        assignment=shared.setdefault((("white", e3), ("black", e2)),
+                                     {"white": e3, "black": e2}))
+
+
+def _built_record(h, shared, tf_code=None):
+    """record_from_hypermap drawing from the build's table shared (see
+    _derived_record), computed tf codes included."""
+    code, roots = canonical_form(h)
+
+    def retraction_code():
+        tf = tf_code or canonical_form(tf_retract(h))[0].hex()
+        return shared.setdefault(tf, tf)
+    return _derived_record(h, code, len(roots), retraction_code, shared)
 
 
 def record_from_hypermap(h, tf_code=None):
@@ -70,10 +90,7 @@ def record_from_hypermap(h, tf_code=None):
     canonical walk (canonical_form); only a torsion dessin is retracted and
     walked a second time.
     """
-    code, roots = canonical_form(h)
-    return _derived_record(
-        h, code, len(roots),
-        lambda: tf_code or canonical_form(tf_retract(h))[0].hex())
+    return _built_record(h, {}, tf_code)
 
 
 def _letters(i):
@@ -116,9 +133,11 @@ def _field_error(lineno, name, desc):
     return ParseError(f"line {lineno}: field {name!r} is not {desc}")
 
 
-def _parse_record(obj, lineno):
+def _parse_record(obj, lineno, shared):
     """The record of one decoded JSON line, its field names and value types
-    checked; the first fault in FIELDS order is a ParseError.
+    checked; the first fault in FIELDS order is a ParseError.  Its tf_code,
+    if already proved, cusp_widths and assignment are drawn from the read's
+    table of repeated values, shared (see _derived_record).
 
     json.loads makes only exact types, so type(v) is int tells an integer
     from a bool.
@@ -147,10 +166,13 @@ def _parse_record(obj, lineno):
     for name in ("lift_one_to_one", "lift_two_to_one"):
         if obj[name] is not None and type(obj[name]) is not int:
             raise _field_error(lineno, name, "an integer or null")
+    obj["tf_code"] = shared.get(obj["tf_code"], obj["tf_code"])
+    obj["cusp_widths"] = shared.setdefault(tuple(widths), widths)
+    obj["assignment"] = shared.setdefault(tuple(counts.items()), counts)
     return DessinRecord._make([obj[name] for name in FIELDS])
 
 
-def _checked_tf_code(retract, stored, tf_codes):
+def _checked_tf_code(retract, stored, shared):
     """The hex tf code of a torsion dessin whose retraction is retract:
     stored itself if it passes, else the canonical code that
     record_from_hypermap would derive.
@@ -158,8 +180,9 @@ def _checked_tf_code(retract, stored, tf_codes):
     stored passes when a candidate root of retract walks to its bytes (an
     isomorphism test, which also makes them the code of a dessin, so they
     need no validate) and they are proved canonical (_canonical_ties) in
-    their lower-case hex, once per distinct string: tf_codes holds the
-    strings proved.  A retraction past MAX_INDEX edges has no code and is a
+    their lower-case hex, once per distinct string: the strings proved are
+    the string keys of the read's table shared, which hands out one object
+    of each.  A retraction past MAX_INDEX edges has no code and is a
     DomainError.
     """
     if retract.n > MAX_INDEX:
@@ -169,14 +192,13 @@ def _checked_tf_code(retract, stored, tf_codes):
         code = bytes.fromhex(stored)
     except ValueError:
         code = b""
-    if _is_walk_code(retract, code) and (stored in tf_codes or (
+    if _is_walk_code(retract, code) and (stored in shared or (
             code.hex() == stored and _canonical_ties(from_code(code), code))):
-        tf_codes.add(stored)
-        return stored
+        return shared.setdefault(stored, stored)
     return canonical_form(retract)[0].hex()
 
 
-def validate_record(rec, tf_codes):
+def validate_record(rec, shared):
     """Check every field but id of the record against its canonical code.
 
     The stored code is proved the canonical lower-case hex code of a
@@ -186,9 +208,9 @@ def validate_record(rec, tf_codes):
     fields are derived from the code as the record build derives them and
     compared in FIELDS order, so the first that differs is named.  A
     torsion record's tf_code is checked by an isomorphism test against its
-    retraction, and its canonicity once per distinct tf code: tf_codes is
-    the set of tf codes already proved canonical, which read_records keeps
-    for one read.  A record that stores any lift count must store the pair
+    retraction, and its canonicity once per distinct tf code: the string
+    keys of shared, the read's table of repeated values, are the tf codes
+    proved so far.  A record that stores any lift count must store the pair
     the lift rules give, so counts on a class outside the K3 range are
     refused too.
     """
@@ -203,7 +225,7 @@ def validate_record(rec, tf_codes):
             code, roots = canonical_form(h)
             ties = len(roots)
         want = _derived_record(h, code, ties, lambda: _checked_tf_code(
-            tf_retract(h), rec.tf_code, tf_codes))
+            tf_retract(h), rec.tf_code, shared), shared)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
     lift_pair = (None, None)
@@ -229,12 +251,13 @@ def read_records(path):
     unknown field
     or a canonical code already seen on an earlier line is a ParseError; a
     record that validate_record refuses is a ValidationError; both name
-    the line.  One set of the tf codes proved canonical serves the whole
-    read, so each distinct tf code is proved once.
+    the line.  One table of repeated values, a local of this call, serves
+    the whole read: each distinct tf code is proved once, and records
+    share one object of each equal tf_code, cusp_widths and assignment.
     """
     records = []
     first_line = {}
-    tf_codes = set()
+    shared = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -246,12 +269,12 @@ def read_records(path):
                 # past the interpreter's digit limit; deep nesting recurses
                 raise ParseError(f"line {lineno}: invalid JSON "
                                  f"({getattr(exc, 'msg', exc)})")
-            rec = _parse_record(obj, lineno)
+            rec = _parse_record(obj, lineno, shared)
             first = first_line.setdefault(rec.canonical_code, lineno)
             if first != lineno:
                 raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
             try:
-                validate_record(rec, tf_codes)
+                validate_record(rec, shared)
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}")
             records.append(rec)
@@ -267,7 +290,8 @@ def write_records(path, records):
 # ------------------------------------------------------------ catalog build
 
 def enumerate_records(index, *, genus=None, torsion_free=False):
-    records = [record_from_hypermap(h) for h in enumerate_classes(
+    shared = {}
+    records = [_built_record(h, shared) for h in enumerate_classes(
         index, genus=genus, torsion_free=torsion_free)]
     return assign_ids(records)
 
@@ -289,9 +313,10 @@ def expand_records(tf_records):
         raise ResourceBound(f"expanding {len(tf_records)} records tries {work} "
                             f"loop assignments, over the bound of {MAX_LEAVES}")
     out = []
+    shared = {}
     for rec in tf_records:
         for _, sub in expand_classes(_decode(rec)):
-            out.append(record_from_hypermap(sub, tf_code=rec.canonical_code))
+            out.append(_built_record(sub, shared, rec.canonical_code))
     return assign_ids(out)
 
 

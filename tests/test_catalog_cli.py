@@ -1,11 +1,13 @@
 """Catalog serialization, reports, and the command-line front end."""
 
+import gc
 import hashlib
 import importlib
 import io
 import json
 import pkgutil
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
@@ -811,6 +813,67 @@ def test_read_rejects_a_repeated_code(tmp_path):
         status, err = run_cli(argv + ["--in", str(path)])
         assert (status, err) == (
             1, "error: ParseError: line 7: canonical_code repeats line 1\n")
+
+
+def test_a_read_keeps_one_copy_of_each_repeated_value(tmp_path, full_catalog):
+    # the census repeats its tf codes, widths and assignments: one read
+    # hands out one object per distinct value, a second read its own
+    path = tmp_path / "full.jsonl"
+    catalog.write_records(path, full_catalog)
+    first, second = catalog.read_records(path), catalog.read_records(path)
+    for name, distinct in (("tf_code", 225), ("cusp_widths", 736),
+                           ("assignment", 21)):
+        values = [getattr(r, name) for r in first]
+        assert len({json.dumps(v) for v in values}) == distinct
+        assert len({id(v) for v in values}) == distinct, name
+        assert not {id(v) for v in values} & {
+            id(getattr(r, name)) for r in second}, name
+    # the build shares within one expand_records call the same way
+    k24 = [r for r in full_catalog if lifts.tf_index(r) == 24]
+    for name in ("cusp_widths", "assignment"):
+        values = [getattr(r, name) for r in k24]
+        assert len({id(v) for v in values}) == len(
+            {json.dumps(v) for v in values}), name
+
+
+def test_commands_leave_their_records_unchanged(tmp_path, full_catalog):
+    # records of one read share their lists and dicts, so a command that
+    # wrote to one record's value would change others: commands only read
+    path = tmp_path / "full.jsonl"
+    catalog.write_records(path, full_catalog)
+    recs = catalog.read_records(path)
+    for report in catalog.REPORTS.values():
+        report(recs)
+    ids = [r.id for r in recs]
+    for n in (6, 12, 18, 24):
+        rec_id = next(r.id for r in recs
+                      if lifts.tf_index(r) == n and ids.count(r.id) == 1)
+        catalog.export_dot(recs, rec_id)
+    catalog.verify_records(recs)
+    lifts.totals(recs)
+    catalog.add_lift_fields(recs)
+    fresh = catalog.read_records(path)
+    assert len(recs) == len(fresh)
+    for rec, want in zip(recs, fresh):
+        assert rec._asdict() == want._asdict()
+
+
+def test_a_read_keeps_at_most_600_bytes_a_record(tmp_path, full_catalog):
+    # the records of a read share their repeated values; a read that copied
+    # them again would keep about 900 bytes a record
+    path = tmp_path / "full.jsonl"
+    catalog.write_records(path, full_catalog)
+    catalog.read_records(path)          # first-call state is not the read's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = catalog.read_records(path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 600 * len(recs), f"{kept / len(recs):.0f} bytes a record"
 
 
 def test_reports_need_the_tf_record_of_each_class(tmp_path):
