@@ -72,25 +72,18 @@ def _derived_record(h, code, aut_order, retraction_code, shared):
 
 
 def _built_record(h, shared, tf_code=None):
-    """record_from_hypermap drawing from the build's table shared (see
-    _derived_record), computed tf codes included."""
+    """The (id-less) record of h, which must be a dessin: it is not
+    validated here.  Its code and aut_order, the number of roots that tie
+    it, come from one canonical walk (canonical_form); only a torsion
+    dessin is retracted and walked a second time, unless its tf_code is
+    supplied.  Values repeated across the build are drawn from its table
+    shared (see _derived_record), computed tf codes included."""
     code, roots = canonical_form(h)
 
     def retraction_code():
         tf = tf_code or canonical_form(tf_retract(h))[0].hex()
         return shared.setdefault(tf, tf)
     return _derived_record(h, code, len(roots), retraction_code, shared)
-
-
-def record_from_hypermap(h, tf_code=None):
-    """Build an (id-less) record of h, which must be a dessin: it is not
-    validated here.  A torsion dessin's tf_code is computed unless supplied.
-
-    The code and aut_order, the number of roots that tie it, come from one
-    canonical walk (canonical_form); only a torsion dessin is retracted and
-    walked a second time.
-    """
-    return _built_record(h, {}, tf_code)
 
 
 def _letters(i):
@@ -108,15 +101,18 @@ def _partition(rec):
 
 
 def assign_ids(records):
-    """The records sorted by canonical code, each with its
-    partition-plus-letter id."""
+    """Sort the list records by canonical code in place and replace each
+    entry with its copy that carries its partition-plus-letter id; returns
+    records.  Only list entries are replaced, so each old record is freed
+    as its copy is made; the shared values the copies keep are never
+    written."""
+    records.sort(key=lambda r: r.canonical_code)
     counter = {}
-    out = []
-    for rec in sorted(records, key=lambda r: r.canonical_code):
+    for i, rec in enumerate(records):
         label = _partition(rec)
         counter[label] = counter.get(label, 0) + 1
-        out.append(rec._replace(id=f"{label}-{_letters(counter[label] - 1)}"))
-    return out
+        records[i] = rec._replace(id=f"{label}-{_letters(counter[label] - 1)}")
+    return records
 
 
 # ----------------------------------------------------------------- JSONL io
@@ -174,8 +170,8 @@ def _parse_record(obj, lineno, shared):
 
 def _checked_tf_code(retract, stored, shared):
     """The hex tf code of a torsion dessin whose retraction is retract:
-    stored itself if it passes, else the canonical code that
-    record_from_hypermap would derive.
+    stored itself if it passes, else the canonical code that the record
+    build would derive.
 
     stored passes when a candidate root of retract walks to its bytes (an
     isomorphism test, which also makes them the code of a dessin, so they
@@ -321,21 +317,14 @@ def expand_records(tf_records):
 
 
 def add_lift_fields(records):
-    """The records with the lift counts that lift_profile gives."""
-    out = []
-    for rec in records:
+    """Replace each entry of the list records with its copy that carries
+    the lift counts lift_profile gives; returns records.  As in assign_ids,
+    only list entries are replaced and shared values are never written.
+    A class the lift rules refuse raises midway, so a caller that writes
+    the records writes them only once this returns."""
+    for i, rec in enumerate(records):
         one, two = lift_profile(rec)
-        out.append(rec._replace(lift_one_to_one=one, lift_two_to_one=two))
-    return out
-
-
-def full_catalog():
-    """The complete K catalog with lift counts, built afresh on each call;
-    strata in index order, with the per-stratum ids that the CLI writes."""
-    records = []
-    for n in (6, 12, 18, 24):
-        tf = enumerate_records(n, genus=0, torsion_free=True)
-        records.extend(add_lift_fields(expand_records(tf)))
+        records[i] = rec._replace(lift_one_to_one=one, lift_two_to_one=two)
     return records
 
 

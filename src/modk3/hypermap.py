@@ -80,7 +80,7 @@ def fixed_points(p):
 class Hypermap(namedtuple("Hypermap", "sigma alpha")):
     """Immutable (sigma, alpha) pair, not checked when built.
 
-    A pair is validated once, where it enters: subgroup_type, cusp_widths,
+    A pair is validated once, where it enters: subgroup_type,
     canonical_code and automorphism_group call validate() first, and the
     private walks they share trust their input.
     """
@@ -213,13 +213,6 @@ def subgroup_type(h):
     validate(h)
     widths, e2, e3 = _face_walk(h)
     return SubgroupType(h.n, _genus(h.n, len(widths), e2, e3), len(widths), e2, e3)
-
-
-def cusp_widths(h):
-    """Descending cycle lengths of the face permutation of the validated
-    dessin h; they sum to n."""
-    validate(h)
-    return tuple(sorted(_face_walk(h)[0], reverse=True))
 
 
 # ------------------------------------------------------------ canonical code

@@ -2,12 +2,12 @@
 
 import pytest
 
-from modk3 import catalog
+import helpers
 
 
 @pytest.fixture(scope="session")
 def full_catalog():
-    """catalog.full_catalog() built once per session; the records are
+    """helpers.full_catalog() built once per session; the records are
     immutable named tuples, and the tuple keeps a test from reordering
     them for the next one."""
-    return tuple(catalog.full_catalog())
+    return tuple(helpers.full_catalog())

@@ -9,18 +9,22 @@ cycle notation, cycle types, relabelling and white-vertex typing build
 and inspect test dessins; mul, inv and the S/T matrices multiply the
 package's Mat2, and word_perm and member_sign push S/T words through a
 coset action; the Kodaira fibre table and the Euler-number formulas
-check the minimal Euler numbers.  None of it is on a path that a command,
-the package API or the benchmark runs, so it lives here rather than in
-modk3.
+check the minimal Euler numbers.  cusp_widths is a validating entry the
+hypermap tests call, and full_catalog builds the whole catalog through
+the commands' own builds, once per session for the conftest fixture.
+None of it is on a path that a command or the benchmark runs, so it
+lives here rather than in modk3.
 """
 
 from collections import namedtuple
+from math import comb, factorial, gcd, prod
 
+from modk3 import catalog
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _check_constraints, _classes_at
 from modk3.hypermap import (
-    Hypermap, _reach_order, canonical_code, compose, cusp_widths, cycles,
-    inverse, subgroup_type,
+    Hypermap, _face_walk, _reach_order, canonical_code, compose, cycles,
+    inverse, subgroup_type, validate,
 )
 from modk3.lifts import tf_index
 from modk3.slwords import Mat2, coset_action, word_of_matrix
@@ -57,6 +61,13 @@ def relabel(h, p):
         sigma[p[e]] = p[h.sigma[e]]
         alpha[p[e]] = p[h.alpha[e]]
     return Hypermap(sigma, alpha)
+
+
+def cusp_widths(h):
+    """Descending cycle lengths of the face permutation of the validated
+    dessin h; they sum to n."""
+    validate(h)
+    return tuple(sorted(_face_walk(h)[0], reverse=True))
 
 
 def loop_count(h):
@@ -142,6 +153,17 @@ def burnside_count(loop_action, options_per_loop):
 
 # ------------------------------------------------------------ enumeration
 
+def full_catalog():
+    """The complete K catalog with lift counts, built afresh on each call
+    through the commands' own builds; strata in index order, with the
+    per-stratum ids that the CLI writes."""
+    records = []
+    for n in (6, 12, 18, 24):
+        tf = catalog.enumerate_records(n, genus=0, torsion_free=True)
+        records.extend(catalog.add_lift_fields(catalog.expand_records(tf)))
+    return records
+
+
 def rooted_count(classes):
     """Number of rooted dessins (= subgroups, not classes): sum of n/|Aut|,
     with |Aut| from the reference, not from the canonical walk."""
@@ -151,6 +173,47 @@ def rooted_count(classes):
     for h in classes:
         total += h.n // len(reference_automorphisms(h))
     return total
+
+
+def rooted_cubic_maps(k):
+    """A002005: rooted planar cubic maps with 2k vertices, which are the
+    rooted tf genus-0 subgroups of index 6k (Mullin-Tutte),
+    2^(2k+1) (3k)!! / ((k+2)! k!!)."""
+    def double_factorial(x):
+        return prod(range(x, 0, -2))
+    return (2 ** (2 * k + 1) * double_factorial(3 * k)
+            // (factorial(k + 2) * double_factorial(k)))
+
+
+def tf_class_count(n, quotients):
+    """tf genus-0 classes of index n by Burnside over quotient dessins
+    (Liskovets' reductive technique), from the genus-0 classes of smaller
+    index given as (index, h, e2, e3, aut_order) tuples.
+
+    Each rooted class is counted once by the identity and once by each
+    non-identity automorphism.  One of order d is a rotation of the sphere
+    with two fixed points; its quotient, of index m = n/d, carries them as
+    j torsion points and 2 - j marked faces: j = e2 <= 2 alpha fixed points
+    and no sigma fixed point for d = 2, j = e3 <= 2 the other way round for
+    d = 3, and j = 0 with no fixed point for d >= 4.  So
+    n #classes(n) = A002005(n/6) + sum over d | n, d > 1, of
+    phi(d) Q(n/d, d), Q(m, d) = sum of (m/aut_order) C(h, 2 - j).
+    """
+    total = rooted_cubic_maps(n // 6)
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        for index, h, e2, e3, aut_order in quotients:
+            if index != n // d:
+                continue
+            j, other = ((e2, e3) if d == 2 else (e3, e2) if d == 3
+                        else (0, e2 + e3))
+            if other == 0 and j <= 2:
+                total += phi * (index // aut_order) * comb(h, 2 - j)
+    if total % n:
+        raise DomainError(f"Burnside sum {total} is not a multiple of {n}")
+    return total // n
 
 
 def search_leaf_count(index, *, genus=None, torsion_free=False):

@@ -720,6 +720,17 @@ def run_cli(argv):
     return status, err.getvalue()
 
 
+def test_a_refused_lifts_writes_no_file(tmp_path):
+    # lifts replaces its list's entries in place and is refused at 6-C,
+    # the seventh record; every count is made before --out is opened
+    k6, out = tmp_path / "k6.jsonl", tmp_path / "out.jsonl"
+    assert cli.main(["enumerate", "--index", "6", "--out", str(k6)]) == 0
+    status, err = run_cli(["lifts", "--in", str(k6), "--out", str(out)])
+    assert (status, err) == (1, "error: OutOfRange: genus 1 group is never "
+                                "a K3 monodromy group\n")
+    assert not out.exists()
+
+
 ERROR_LINE = re.compile(r"error: (ParseError|ValidationError): line \d+: .*\n")
 
 
@@ -874,6 +885,25 @@ def test_a_read_keeps_at_most_600_bytes_a_record(tmp_path, full_catalog):
     finally:
         tracemalloc.stop()
     assert kept <= 600 * len(recs), f"{kept / len(recs):.0f} bytes a record"
+
+
+def test_expand_peaks_at_most_690_bytes_an_output_record():
+    # ids and lift counts replace the entries of the list they are given,
+    # so a build holds its records once; a second list of copies beside
+    # the first would peak near 780 bytes a record
+    tf = tf_records(24)
+    catalog.expand_records(tf_records(6))   # first-call state is not the build's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = catalog.expand_records(tf)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 690 * len(recs), f"{peak / len(recs):.0f} bytes a record"
+    assert catalog.assign_ids(recs) is recs
+    assert catalog.add_lift_fields(recs) is recs
 
 
 def test_reports_need_the_tf_record_of_each_class(tmp_path):

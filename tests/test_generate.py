@@ -7,10 +7,13 @@ from modk3.counts import subgroup_counts
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _classes_at, enumerate_classes
 from modk3.hypermap import (
-    canonical_code, cusp_widths, from_code, subgroup_type, validate,
+    automorphism_group, canonical_code, from_code, subgroup_type, validate,
 )
 
-from helpers import brute_force_oracle, rooted_count, search_leaf_count
+from helpers import (
+    brute_force_oracle, cusp_widths, rooted_count, search_leaf_count,
+    tf_class_count,
+)
 
 
 def codes(index, **kw):
@@ -126,6 +129,31 @@ def test_tf_genus_zero_leaves_are_the_rooted_planar_cubic_maps():
                                (24, 4096, 191)):
         got, kept = _classes_at(n, 0, True)
         assert (kept, len(got)) == (leaves, classes), n
+
+
+TF_CLASSES = {6: 2, 12: 6, 18: 26, 24: 191}
+
+
+def test_tf_class_counts_follow_from_the_catalogs_quotients(full_catalog):
+    # Burnside over quotient dessins counts each class once, from the lower
+    # strata's torsion records, which expansion builds, not the tf search
+    quotients = [(r.index, r.h, r.e2, r.e3, r.aut_order)
+                 for r in full_catalog if r.genus == 0]
+    for n, want in TF_CLASSES.items():
+        tf = [r for r in full_catalog if r.index == n and r.e2 == r.e3 == 0]
+        assert tf_class_count(n, quotients) == len(tf) == want, n
+
+
+def test_tf_class_counts_follow_from_enumerated_quotients():
+    # the same identity with the quotients of index <= 12 from the search
+    # over all genus-0 classes, not from the catalog's records
+    quotients = []
+    for m in range(1, 13):
+        for h in enumerate_classes(m, genus=0):
+            t = subgroup_type(h)
+            quotients.append((m, t.h, t.e2, t.e3, automorphism_group(h).order))
+    for n, want in TF_CLASSES.items():
+        assert tf_class_count(n, quotients) == want, n
 
 
 def test_genus_filter_agrees_with_the_type_of_each_class():

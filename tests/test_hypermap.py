@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from modk3.errors import DomainError, Modk3Error, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _canonical_ties, _candidate_roots, _face_count, _genus,
-    automorphism_group, canonical_code, canonical_form, compose, cusp_widths,
+    automorphism_group, canonical_code, canonical_form, compose,
     cycles, fixed_points, from_code, inverse, subgroup_type, validate,
 )
 
 from helpers import (
-    cycle_type, identity_perm, loop_count, perm_from_cycles,
+    cusp_widths, cycle_type, identity_perm, loop_count, perm_from_cycles,
     reference_automorphisms, relabel, white_vertex_types,
 )
 

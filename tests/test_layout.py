@@ -138,11 +138,10 @@ def _users(names):
 
 
 def test_a_dessin_is_validated_only_where_it_enters():
-    # validate runs in the four public hypermap entries and in the read's
+    # validate runs in the three public hypermap entries and in the read's
     # validate_record; package code builds on dessins checked there, so it
     # calls neither validate nor an entry that would check them again
-    entries = {"subgroup_type", "cusp_widths", "canonical_code",
-               "automorphism_group"}
+    entries = {"subgroup_type", "canonical_code", "automorphism_group"}
     callers = _users(entries | {"validate"})
     assert callers.pop("validate") == \
         {f"hypermap.{name}" for name in entries} | {"catalog.validate_record"}

@@ -6,11 +6,11 @@ from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
 from modk3.generate import enumerate_classes
-from modk3.hypermap import canonical_code, cusp_widths, cycles, subgroup_type
+from modk3.hypermap import canonical_code, cycles, subgroup_type
 from modk3.lifts import lift_profile, star_orbit_count, totals
 from modk3.torsion import expand_classes
 
-from helpers import reference_automorphisms
+from helpers import cusp_widths, reference_automorphisms
 
 Rec = namedtuple("Rec", "e2 e3 genus tf_code canonical_code")
 

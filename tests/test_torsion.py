@@ -11,7 +11,7 @@ from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.generate import enumerate_classes
 from modk3.hypermap import (
     _candidate_roots, _is_walk_code, _reach_order, _root_code,
-    automorphism_group, canonical_code, cusp_widths, subgroup_type, validate,
+    automorphism_group, canonical_code, subgroup_type, validate,
     Hypermap,
 )
 from modk3.torsion import (
@@ -19,7 +19,7 @@ from modk3.torsion import (
     substitute, tf_retract,
 )
 
-from helpers import burnside_count, perm_from_cycles, relabel
+from helpers import burnside_count, cusp_widths, perm_from_cycles, relabel
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
                 perm_from_cycles(6, (1, 2), (0, 3), (4, 5)))
