@@ -4,12 +4,12 @@ enumerate_classes runs a backtracking search over partially built
 (sigma, alpha) pairs.  Fresh edge labels are always the smallest unused
 integer, so every isomorphism class at index n is reached exactly
 n / |Aut| times (once per root orbit); a canonicity test at each leaf
-keeps exactly one of them.
+keeps exactly one of them, and counts |Aut| on the way.
 """
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    _candidate_roots, _face_count, _face_walk, _genus, _root_code, from_code,
+    _candidate_roots, _face_count, _face_walk, _genus, _root_code,
 )
 
 MAX_INDEX = 255        # the canonical code stores the index in one byte
@@ -88,7 +88,8 @@ def _search(n, torsion_free, emit):
 
 
 def _classes_at(n, genus_filter, torsion_free):
-    """Sorted canonical codes of all classes at one index, and the leaf tally.
+    """The sorted (canonical code, |Aut|) pairs of all classes at one
+    index, and the leaf tally.
 
     A leaf is kept only if its root 0 already gives the canonical code: no
     other root may give a smaller one.  The roots with the minimal code form
@@ -96,15 +97,16 @@ def _classes_at(n, genus_filter, torsion_free):
     so every class is kept exactly once.  Only the roots of _candidate_roots
     can reach the minimum: a leaf whose root 0 is not among them is dropped
     without a walk, and root 0 is compared with the other candidates only.
-    The tally counts the leaves that pass the genus filter, before the
-    canonicity test.
+    A kept leaf's root 0 and the candidates that tie it are the orbit that
+    canonical_form counts, so their number is |Aut|.  The tally counts the
+    leaves that pass the genus filter, before the canonicity test.
 
     The genus comes from Riemann-Hurwitz (_genus).  A torsion-free leaf has
     e2 = e3 = 0, so only its faces are counted: g = 0 exactly when there are
     n/6 + 2 of them.  Any other leaf has its full type read, fixed points
     included.
     """
-    codes = []
+    pairs = []
     leaves = 0
 
     def emit(sigma, alpha):
@@ -124,15 +126,18 @@ def _classes_at(n, genus_filter, torsion_free):
         if roots[0] != 0:
             return
         code = _root_code(sigma, alpha, 0, None)
+        ties = 1
         for root in roots[1:]:
             other = _root_code(sigma, alpha, root, code)
-            if other is not None and other is not code:   # smaller, not a tie
+            if other is code:
+                ties += 1
+            elif other is not None:                # smaller: not canonical
                 return
-        codes.append(code)
+        pairs.append((code, ties))
 
     _search(n, torsion_free, emit)
-    codes.sort()
-    return codes, leaves
+    pairs.sort()
+    return pairs, leaves
 
 
 def _check_constraints(n, genus, torsion_free):
@@ -160,8 +165,10 @@ def _check_constraints(n, genus, torsion_free):
 
 
 def enumerate_classes(index, *, genus=None, torsion_free=False):
-    """All conjugacy classes of the index, as sorted Hypermaps: only those
-    of the given genus if one is given, only torsion-free ones if asked.
+    """All conjugacy classes of the index, as (canonical code, |Aut|)
+    pairs sorted by code: only those of the given genus if one is given,
+    only torsion-free ones if asked.  hypermap.from_code decodes a code to
+    its dessin, one at a time.
 
     Indices outside 1..MAX_INDEX, a negative genus and a search of more
     than MAX_LEAVES leaves are refused before any search.
@@ -169,5 +176,5 @@ def enumerate_classes(index, *, genus=None, torsion_free=False):
     _check_constraints(index, genus, torsion_free)
     if torsion_free and index % 6 != 0:
         return []
-    codes, _ = _classes_at(index, genus, torsion_free)
-    return [from_code(code) for code in codes]
+    pairs, _ = _classes_at(index, genus, torsion_free)
+    return pairs

@@ -91,14 +91,10 @@ def stored_lifts(rec):
 
 
 def _tf_expansion_counts(n):
-    """{tf code hex: number of classes over it} for torsion-free index n.
-
-    enumerate_classes decodes each class from its canonical code, so the
-    pair's own bytes are that code.
-    """
+    """{tf code hex: number of classes over it} for torsion-free index n."""
     counts = {}
-    for h in enumerate_classes(n, genus=0, torsion_free=True):
-        counts[bytes((h.n, *h.sigma, *h.alpha)).hex()] = len(expand_classes(h))
+    for code, _ in enumerate_classes(n, genus=0, torsion_free=True):
+        counts[code.hex()] = len(expand_classes(from_code(code)))
     return counts
 
 

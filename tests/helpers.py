@@ -10,7 +10,8 @@ and inspect test dessins; mul, inv and the S/T matrices multiply the
 package's Mat2, and word_perm and member_sign push S/T words through a
 coset action; the Kodaira fibre table and the Euler-number formulas
 check the minimal Euler numbers.  cusp_widths is a validating entry the
-hypermap tests call, and full_catalog builds the whole catalog through
+hypermap tests call, class_dessins decodes the search's classes to the
+dessins most tests inspect, and full_catalog builds the whole catalog through
 the commands' own builds, once per session for the conftest fixture.
 None of it is on a path that a command or the benchmark runs, so it
 lives here rather than in modk3.
@@ -21,10 +22,10 @@ from math import comb, factorial, gcd, prod
 
 from modk3 import catalog
 from modk3.errors import DomainError, ResourceBound
-from modk3.generate import _check_constraints, _classes_at
+from modk3.generate import _check_constraints, _classes_at, enumerate_classes
 from modk3.hypermap import (
     Hypermap, _face_walk, _reach_order, canonical_code, compose, cycles,
-    inverse, subgroup_type, validate,
+    from_code, inverse, subgroup_type, validate,
 )
 from modk3.lifts import tf_index
 from modk3.slwords import Mat2, coset_action, word_of_matrix
@@ -162,6 +163,13 @@ def full_catalog():
         tf = catalog.enumerate_records(n, genus=0, torsion_free=True)
         records.extend(catalog.add_lift_fields(catalog.expand_records(tf)))
     return records
+
+
+def class_dessins(index, *, genus=None, torsion_free=False):
+    """The dessins of enumerate_classes, decoded from its (code, |Aut|)
+    pairs in their sorted order."""
+    return [from_code(code) for code, _ in enumerate_classes(
+        index, genus=genus, torsion_free=torsion_free)]
 
 
 def rooted_count(classes):

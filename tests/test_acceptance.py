@@ -8,9 +8,8 @@ import itertools
 import time
 from collections import Counter
 
-from modk3 import catalog
+from modk3 import catalog, reports
 from modk3.errors import DegenerateSubstitution
-from modk3.generate import enumerate_classes
 from modk3.hypermap import (
     Hypermap, automorphism_group, canonical_code, cycles, from_code,
     subgroup_type,
@@ -19,9 +18,9 @@ from modk3.slwords import coset_action
 from modk3.torsion import BLACK, substitute, tf_retract
 
 from helpers import (
-    brute_force_oracle, burnside_count, corollary_euler, cycle_type,
-    minimal_euler, minimal_euler_tf, perm_from_cycles, rooted_count,
-    white_vertex_types, word_perm,
+    brute_force_oracle, burnside_count, class_dessins, corollary_euler,
+    cycle_type, minimal_euler, minimal_euler_tf, perm_from_cycles,
+    rooted_count, white_vertex_types, word_perm,
 )
 
 TF_COUNTS = {6: (2, 4), 12: (6, 32), 18: (26, 336), 24: (191, 4096)}
@@ -70,7 +69,7 @@ def test_criterion_1_torsion_free_counts():
     t0 = time.time()
     for n, (n_classes, n_rooted) in TF_COUNTS.items():
         t1 = time.time()
-        classes = enumerate_classes(n, genus=0, torsion_free=True)
+        classes = class_dessins(n, genus=0, torsion_free=True)
         dt = time.time() - t1
         assert len(classes) == n_classes, (n, len(classes))
         assert rooted_count(classes) == n_rooted, n
@@ -156,7 +155,7 @@ def test_criterion_4_index24_loops_and_symmetries(full_catalog):
     for r in tf24:
         h = from_code(bytes.fromhex(r.canonical_code))
         aut = automorphism_group(h)
-        label = catalog.group_label(aut.elements)
+        label = reports.group_label(aut.elements)
         mult = burnside_count(aut.loop_action, 3)
         key = (r.loop_count, "any" if r.loop_count == 0 else label)
         count, old = rows.get(key, (0, mult))
@@ -215,7 +214,7 @@ def test_criterion_6_oracle_equivalence():
     t0 = time.time()
     for n in range(1, 9):
         for torsion_free, genus in itertools.product((False, True), (None, 0)):
-            got = [canonical_code(h) for h in enumerate_classes(
+            got = [canonical_code(h) for h in class_dessins(
                 n, genus=genus, torsion_free=torsion_free)]
             want = brute_force_oracle(n, genus_filter=genus,
                                       torsion_free=torsion_free)

@@ -7,13 +7,14 @@ import io
 import json
 import pkgutil
 import re
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
 import modk3
-from modk3 import catalog, cli, hypermap, lifts, torsion
+from modk3 import catalog, cli, hypermap, lifts, reports, torsion
 from modk3.errors import IncompleteCatalog, ParseError, ValidationError
 from modk3.hypermap import Hypermap, canonical_code, from_code, validate
 
@@ -333,7 +334,7 @@ def test_cli_report_totals_on_full_catalog(tmp_path, capsys, full_catalog):
 def test_totals_needs_every_stratum(full_catalog):
     recs = [r for r in full_catalog if bytes.fromhex(r.tf_code)[0] != 6]
     try:
-        catalog.report_totals(recs)
+        reports.report_totals(recs)
         assert False, "totals accepted a catalog missing a stratum"
     except IncompleteCatalog:
         pass
@@ -492,7 +493,7 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     # (torsion's) calls hypermap's
     calls = []
     group = hypermap._automorphism_group
-    for module in (hypermap, catalog, lifts):
+    for module in (hypermap, reports, lifts):
         monkeypatch.setattr(module, "_automorphism_group",
                             lambda h: calls.append(h) or group(h))
     path = tmp_path / "k6_lifts.jsonl"
@@ -564,7 +565,7 @@ def test_cli_expand_predicts_its_work_before_any_substitution(
 
 
 def test_cli_verify_refuses_negative_samples(tmp_path, capsys):
-    # verify round-trips a fixed catalog.SAMPLES matrices, so --samples is
+    # verify round-trips a fixed reports.SAMPLES matrices, so --samples is
     # no option: any count, negative or not, is a usage error
     path = tmp_path / "k6.jsonl"
     catalog.write_records(path, k6_records())
@@ -906,6 +907,41 @@ def test_expand_peaks_at_most_690_bytes_an_output_record():
     assert catalog.add_lift_fields(recs) is recs
 
 
+def test_enumerate_records_walks_each_class_once(monkeypatch):
+    # the search keeps each class with its code and the roots that tie it,
+    # which are |Aut|, so the build walks no class again: canonical_form
+    # runs once per torsion class, on its retraction, and never on a tf one
+    calls = []
+    form = hypermap.canonical_form
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("modk3.")
+                and getattr(module, "canonical_form", None) is form):
+            monkeypatch.setattr(module, "canonical_form",
+                                lambda h: calls.append(h) or form(h))
+    recs = catalog.enumerate_records(12)
+    assert len(calls) == sum(1 for r in recs if r.e2 or r.e3) == 69
+    del calls[:]
+    assert len(catalog.enumerate_records(24, genus=0, torsion_free=True)) == 191
+    assert calls == []
+
+
+def test_enumerate_peaks_at_most_750_bytes_a_record():
+    # each record is built from its (code, |Aut|) pair while its dessin is
+    # decoded, one at a time; a list of the decoded dessins beside the
+    # records would peak near 880 bytes a record at index 17
+    catalog.enumerate_records(6)       # first-call state is not the build's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = catalog.enumerate_records(17)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 1002
+    assert peak <= 750 * len(recs), f"{peak / len(recs):.0f} bytes a record"
+
+
 def test_reports_need_the_tf_record_of_each_class(tmp_path):
     tf = tmp_path / "tf12.jsonl"
     k12 = tmp_path / "k12.jsonl"
@@ -920,7 +956,7 @@ def test_reports_need_the_tf_record_of_each_class(tmp_path):
     assert err.startswith("error: IncompleteCatalog: "), err
     k18 = catalog.expand_records(tf_records(18))
     try:
-        catalog.report_k18([r for r in k18 if r.id != "7,7,2,1,1-A"])
+        reports.report_k18([r for r in k18 if r.id != "7,7,2,1,1-A"])
         assert False, "report_k18 accepted a class without its tf record"
     except IncompleteCatalog:
         pass
@@ -928,10 +964,10 @@ def test_reports_need_the_tf_record_of_each_class(tmp_path):
 
 def test_k24_report_refuses_a_split_bucket(monkeypatch):
     mults = iter(range(1, 1000))
-    monkeypatch.setattr(catalog, "orbit_representatives",
+    monkeypatch.setattr(reports, "orbit_representatives",
                         lambda *args: range(next(mults)))
     try:
-        catalog.report_k24(tf_records(24))
+        reports.report_k24(tf_records(24))
         assert False, "one symmetry bucket took two mult factors"
     except ValidationError as exc:
         assert "mult" in str(exc)

@@ -7,28 +7,29 @@ from modk3.counts import subgroup_counts
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _classes_at, enumerate_classes
 from modk3.hypermap import (
-    automorphism_group, canonical_code, from_code, subgroup_type, validate,
+    automorphism_group, canonical_code, canonical_form, from_code,
+    subgroup_type, validate,
 )
 
 from helpers import (
-    brute_force_oracle, cusp_widths, rooted_count, search_leaf_count,
-    tf_class_count,
+    brute_force_oracle, class_dessins, cusp_widths, rooted_count,
+    search_leaf_count, tf_class_count,
 )
 
 
 def codes(index, **kw):
-    return [canonical_code(h) for h in enumerate_classes(index, **kw)]
+    return [canonical_code(h) for h in class_dessins(index, **kw)]
 
 
 def test_index_one():
-    hs = enumerate_classes(1)
+    hs = class_dessins(1)
     assert len(hs) == 1
     assert subgroup_type(hs[0]) == (1, 0, 1, 1, 1)
 
 
 def test_all_results_validate():
     for n in range(1, 8):
-        for h in enumerate_classes(n):
+        for h in class_dessins(n):
             validate(h)
 
 
@@ -39,7 +40,7 @@ def test_torsion_free_skips_non_multiples_of_six():
 
 
 def test_torsion_free_index_six():
-    hs = enumerate_classes(6, genus=0, torsion_free=True)
+    hs = class_dessins(6, genus=0, torsion_free=True)
     assert len(hs) == 2
     assert sorted(cusp_widths(h) for h in hs) == [(2, 2, 2), (4, 1, 1)]
     for h in hs:
@@ -51,7 +52,7 @@ def test_torsion_free_index_six():
 
 
 def test_torsion_free_index_twelve():
-    hs = enumerate_classes(12, genus=0, torsion_free=True)
+    hs = class_dessins(12, genus=0, torsion_free=True)
     assert len(hs) == 6
     assert rooted_count(hs) == 32
     assert search_leaf_count(12, genus=0, torsion_free=True) == 32
@@ -62,7 +63,7 @@ def test_leaf_tally_matches_aut_bookkeeping():
     for n in range(1, 7):
         for tf in (False, True):
             leaves = search_leaf_count(n, torsion_free=tf)
-            assert leaves == rooted_count(enumerate_classes(n, torsion_free=tf)), (n, tf)
+            assert leaves == rooted_count(class_dessins(n, torsion_free=tf)), (n, tf)
 
 
 def test_output_is_sorted_and_deterministic():
@@ -117,8 +118,12 @@ def test_classes_at_keeps_each_class_once():
         for tf in (False, True):
             for g in (None, 0):
                 got, _ = _classes_at(n, g, tf)
-                assert got == sorted(set(got)), (n, tf, g)
-                assert all(canonical_code(from_code(c)) == c for c in got)
+                codes = [code for code, _ in got]
+                assert codes == sorted(set(codes)), (n, tf, g)
+                for code, ties in got:
+                    # the search's tie count is the canonical walk's |Aut|
+                    assert canonical_code(from_code(code)) == code
+                    assert len(canonical_form(from_code(code))[1]) == ties
 
 
 def test_tf_genus_zero_leaves_are_the_rooted_planar_cubic_maps():
@@ -149,7 +154,7 @@ def test_tf_class_counts_follow_from_enumerated_quotients():
     # over all genus-0 classes, not from the catalog's records
     quotients = []
     for m in range(1, 13):
-        for h in enumerate_classes(m, genus=0):
+        for h in class_dessins(m, genus=0):
             t = subgroup_type(h)
             quotients.append((m, t.h, t.e2, t.e3, automorphism_group(h).order))
     for n, want in TF_CLASSES.items():
@@ -161,26 +166,26 @@ def test_genus_filter_agrees_with_the_type_of_each_class():
     # torsion-free and from its full type otherwise; both must keep exactly
     # the classes whose type has that genus
     for n, tf in [(n, False) for n in range(1, 10)] + [(6, True), (12, True)]:
-        every = enumerate_classes(n, torsion_free=tf)
+        every = class_dessins(n, torsion_free=tf)
         for g in (0, 1):
             want = [h for h in every if subgroup_type(h).g == g]
-            assert enumerate_classes(n, genus=g, torsion_free=tf) == want, (n, tf, g)
+            assert class_dessins(n, genus=g, torsion_free=tf) == want, (n, tf, g)
     # index 12 has torsion-free classes of genus 1, so the face-count test
     # meets a genus other than 0
     assert any(subgroup_type(h).g == 1
-               for h in enumerate_classes(12, torsion_free=True))
+               for h in class_dessins(12, torsion_free=True))
 
 
 def test_rooted_counts_match_hall_past_the_oracle():
     # Hall (1949): PSL(2,Z) = Z/2 * Z/3 has a_13 = 1729 and a_14 = 2198
     # subgroups of index 13 and 14, past ORACLE_MAX
     for n, want in ((13, 1729), (14, 2198)):
-        assert rooted_count(enumerate_classes(n)) == want
+        assert rooted_count(class_dessins(n)) == want
         assert search_leaf_count(n) == want
 
 
 def test_rooted_count_needs_one_index():
-    mixed = enumerate_classes(2) + enumerate_classes(3)
+    mixed = class_dessins(2) + class_dessins(3)
     try:
         rooted_count(mixed)
         assert False, "rooted_count summed two indices"

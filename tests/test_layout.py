@@ -1,7 +1,8 @@
-"""Package layout guards: no per-process memo, a lean CLI start, one copy
-of each shared helper, no assert statement, one error base class, one
-check of a dessin where it enters, one catalog read path, no public
-definition that no entry point reaches."""
+"""Package layout guards: no per-process memo, a lean CLI start, a
+bounded compile for each module, no import cycle, one copy of each shared
+helper, no assert statement, one error base class, one check of a dessin
+where it enters, one catalog read path, no public definition that no
+entry point reaches."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import inspect
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import modk3
@@ -65,6 +67,48 @@ def test_cli_help_loads_only_the_cli_and_its_errors():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: modk3")
     assert out.stderr == "['modk3', 'modk3.cli', 'modk3.errors'] False\n"
+
+
+def test_each_module_compiles_within_one_mebibyte():
+    # with no cached bytecode (PYTHONDONTWRITEBYTECODE), every command
+    # compiles each module it imports, and the largest compile's transient
+    # memory sets a floor under the command's peak; a module past the
+    # budget is split at a seam, since two halves compiled one after the
+    # other peak no higher than the larger half
+    peaks = {}
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items()
+            if peak > 1 << 20} == {}
+
+
+def test_package_imports_form_no_cycle():
+    # the relative imports at module level, which run while a module
+    # loads, form a DAG: reports imports nothing of catalog, which imports
+    # it; an import inside a function runs once both have loaded
+    imports = {}
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        deps = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        imports[path.stem] = deps
+    assert imports["catalog"] >= {"reports"}
+    left = dict(imports)
+    while left:
+        leaves = [name for name, deps in left.items() if not deps & left.keys()]
+        assert leaves, f"an import cycle among {sorted(left)}"
+        for name in leaves:
+            del left[name]
 
 
 def test_cli_tables_are_the_reports():

@@ -5,12 +5,11 @@ from collections import namedtuple
 from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
-from modk3.generate import enumerate_classes
 from modk3.hypermap import canonical_code, cycles, subgroup_type
 from modk3.lifts import lift_profile, star_orbit_count, totals
 from modk3.torsion import expand_classes
 
-from helpers import cusp_widths, reference_automorphisms
+from helpers import class_dessins, cusp_widths, reference_automorphisms
 
 Rec = namedtuple("Rec", "e2 e3 genus tf_code canonical_code")
 
@@ -22,7 +21,7 @@ def rec_of(h, tf_h):
 
 
 def tf_classes(n):
-    return enumerate_classes(n, genus=0, torsion_free=True)
+    return class_dessins(n, genus=0, torsion_free=True)
 
 
 def stratum(n):

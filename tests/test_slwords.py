@@ -4,15 +4,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from modk3.generate import enumerate_classes
 from modk3.hypermap import Hypermap, compose, subgroup_type
 from modk3.slwords import (
     Mat2, coset_action, eval_word, random_sl2, word_of_matrix,
 )
 
 from helpers import (
-    I2, S, T, T_INV, cusp_widths, cycle_type, identity_perm, inv, member_sign,
-    mul, perm_from_cycles, word_perm,
+    I2, S, T, T_INV, class_dessins, cusp_widths, cycle_type, identity_perm,
+    inv, member_sign, mul, perm_from_cycles, word_perm,
 )
 
 FULL = Hypermap((0,), (0,))
@@ -92,7 +91,7 @@ def test_coset_action_identity():
 
 def test_coset_action_cycle_data():
     for n in range(1, 7):
-        for h in enumerate_classes(n):
+        for h in class_dessins(n):
             t = subgroup_type(h)
             perm_s, perm_t = coset_action(h)
             assert sum(1 for e in range(h.n) if perm_s[e] == e) == t.e2
@@ -101,7 +100,7 @@ def test_coset_action_cycle_data():
 
 
 def test_triple_two_class_has_222_translation():
-    picks = [h for h in enumerate_classes(6, genus=0, torsion_free=True)
+    picks = [h for h in class_dessins(6, genus=0, torsion_free=True)
              if cusp_widths(h) == (2, 2, 2)]
     _, perm_t = coset_action(picks[0])
     assert cycle_type(perm_t) == (2, 2, 2)
@@ -155,7 +154,7 @@ def test_index_two_membership():
 
 def test_membership_is_root_covariant():
     rng = random.Random(15)
-    classes = enumerate_classes(6)
+    classes = class_dessins(6)
     for h in classes[:8]:
         for _ in range(10):
             m = random_sl2(rng, bound=20)

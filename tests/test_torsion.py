@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import modk3
 from modk3.errors import DegenerateSubstitution, DomainError
-from modk3.generate import enumerate_classes
 from modk3.hypermap import (
     _candidate_roots, _is_walk_code, _reach_order, _root_code,
     automorphism_group, canonical_code, subgroup_type, validate,
@@ -19,7 +18,9 @@ from modk3.torsion import (
     substitute, tf_retract,
 )
 
-from helpers import burnside_count, cusp_widths, perm_from_cycles, relabel
+from helpers import (
+    burnside_count, class_dessins, cusp_widths, perm_from_cycles, relabel,
+)
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
                 perm_from_cycles(6, (1, 2), (0, 3), (4, 5)))
@@ -29,7 +30,7 @@ IDENTITY = Hypermap((0,), (0,))
 
 
 def tf_classes(n):
-    return enumerate_classes(n, genus=0, torsion_free=True)
+    return class_dessins(n, genus=0, torsion_free=True)
 
 
 def by_widths(n, widths):
