@@ -41,23 +41,27 @@ FIELDS = ("id", "canonical_code", "index", "genus", "h", "e2", "e3",
 DessinRecord = namedtuple("DessinRecord", FIELDS, defaults=(None, None))
 
 
-def _derived_record(h, code, aut_order, retraction_code, shared):
+def _derived_record(h, code, aut_order, tf_code, shared):
     """The (id-less) record of the dessin h with canonical code `code`
     (bytes) and aut_order roots that tie it; unchecked.
 
     The type, cusp widths and loop count come from one pass of _face_walk.
     A torsion-free dessin is its own retraction, so its tf_code is its own
-    code; only a torsion dessin's is asked of retraction_code(), which
-    retracts it.  The record build and the read both derive a record here.
-    shared, the command's table of repeated values, maps a canonical tf
-    code to itself, a width tuple to its list and an assignment's items to
-    its dict; the record takes its widths and assignment from it.
+    code; only a torsion dessin's is asked of tf_code(h): retract and walk
+    for enumerate, the parent's code for expand, _checked_tf_code for the
+    read.  shared, the command's table of repeated values, maps a tf code
+    so asked to itself, a width tuple to its list and an assignment's items
+    to its dict; the record takes these values from it.
     """
     n = len(h.sigma)
     widths, e2, e3 = _face_walk(h)
     widths.sort(reverse=True)
     hex_code = code.hex()
-    tf_code = retraction_code() if e2 or e3 else hex_code
+    if e2 or e3:
+        tf = tf_code(h)
+        tf = shared.setdefault(tf, tf)
+    else:
+        tf = hex_code
     return DessinRecord(
         id=None,
         canonical_code=hex_code,
@@ -66,22 +70,9 @@ def _derived_record(h, code, aut_order, retraction_code, shared):
         cusp_widths=shared.setdefault(tuple(widths), widths),
         aut_order=aut_order,
         loop_count=widths.count(1),
-        tf_code=tf_code,
+        tf_code=tf,
         assignment=shared.setdefault((("white", e3), ("black", e2)),
                                      {"white": e3, "black": e2}))
-
-
-def _built_record(h, code, aut_order, shared, tf_code=None):
-    """The (id-less) record of h, which must be a dessin with canonical
-    code `code` (bytes) and aut_order roots that tie it: none of it is
-    checked here.  Only a torsion dessin is retracted and its retraction
-    walked (canonical_form), unless its tf_code is supplied.  Values
-    repeated across the build are drawn from its table shared (see
-    _derived_record), computed tf codes included."""
-    def retraction_code():
-        tf = tf_code or canonical_form(tf_retract(h))[0].hex()
-        return shared.setdefault(tf, tf)
-    return _derived_record(h, code, aut_order, retraction_code, shared)
 
 
 def _letters(i):
@@ -162,6 +153,11 @@ def _parse_record(obj, lineno, shared):
     return DessinRecord._make([obj[name] for name in FIELDS])
 
 
+def _walked_tf_code(h):
+    """enumerate's tf code of a torsion dessin h: its retraction's walk."""
+    return canonical_form(tf_retract(h))[0].hex()
+
+
 def _checked_tf_code(retract, stored, shared):
     """The hex tf code of a torsion dessin whose retraction is retract:
     stored itself if it passes, else the canonical code that the record
@@ -171,9 +167,9 @@ def _checked_tf_code(retract, stored, shared):
     isomorphism test, which also makes them the code of a dessin, so they
     need no validate) and they are proved canonical (_canonical_ties) in
     their lower-case hex, once per distinct string: the strings proved are
-    the string keys of the read's table shared, which hands out one object
-    of each.  A retraction past MAX_INDEX edges has no code and is a
-    DomainError.
+    the string keys of the read's table shared, into which _derived_record
+    puts each tf code it is given.  A retraction past MAX_INDEX edges has
+    no code and is a DomainError.
     """
     if retract.n > MAX_INDEX:
         raise DomainError(f"its retraction has {retract.n} edges, more than "
@@ -184,7 +180,7 @@ def _checked_tf_code(retract, stored, shared):
         code = b""
     if _is_walk_code(retract, code) and (stored in shared or (
             code.hex() == stored and _canonical_ties(from_code(code), code))):
-        return shared.setdefault(stored, stored)
+        return stored
     return canonical_form(retract)[0].hex()
 
 
@@ -214,8 +210,8 @@ def validate_record(rec, shared):
         if not ties:             # refused below; the walk names the code
             code, roots = canonical_form(h)
             ties = len(roots)
-        want = _derived_record(h, code, ties, lambda: _checked_tf_code(
-            tf_retract(h), rec.tf_code, shared), shared)
+        want = _derived_record(h, code, ties, lambda t: _checked_tf_code(
+            tf_retract(t), rec.tf_code, shared), shared)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
     lift_pair = (None, None)
@@ -284,7 +280,8 @@ def enumerate_records(index, *, genus=None, torsion_free=False):
     built from the search's (code, |Aut|) pair, its dessin decoded only
     while its record is made, so no class is walked a second time."""
     shared = {}
-    records = [_built_record(from_code(code), code, aut_order, shared)
+    records = [_derived_record(from_code(code), code, aut_order,
+                               _walked_tf_code, shared)
                for code, aut_order in enumerate_classes(
                    index, genus=genus, torsion_free=torsion_free)]
     return assign_ids(records)
@@ -311,8 +308,8 @@ def expand_records(tf_records):
     for rec in tf_records:
         for _, sub in expand_classes(_decode(rec)):
             code, roots = canonical_form(sub)
-            out.append(_built_record(sub, code, len(roots), shared,
-                                     rec.canonical_code))
+            out.append(_derived_record(sub, code, len(roots),
+                                       lambda _: rec.canonical_code, shared))
     return assign_ids(out)
 
 

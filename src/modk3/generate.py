@@ -9,7 +9,7 @@ keeps exactly one of them, and counts |Aut| on the way.
 
 from .errors import DomainError, ResourceBound
 from .hypermap import (
-    _candidate_roots, _face_count, _face_walk, _genus, _root_code,
+    _candidate_roots, _face_count, _face_walk, _genus, _root_code, _ties,
 )
 
 MAX_INDEX = 255        # the canonical code stores the index in one byte
@@ -96,10 +96,10 @@ def _classes_at(n, genus_filter, torsion_free):
     one Aut-orbit, and the search reaches each class once per root orbit,
     so every class is kept exactly once.  Only the roots of _candidate_roots
     can reach the minimum: a leaf whose root 0 is not among them is dropped
-    without a walk, and root 0 is compared with the other candidates only.
-    A kept leaf's root 0 and the candidates that tie it are the orbit that
-    canonical_form counts, so their number is |Aut|.  The tally counts the
-    leaves that pass the genus filter, before the canonicity test.
+    without a walk, and root 0's code is held against the other candidates
+    by the read's own tie loop (hypermap._ties), which gives |Aut| or 0.
+    The tally counts the leaves that pass the genus filter, before the
+    canonicity test.
 
     The genus comes from Riemann-Hurwitz (_genus).  A torsion-free leaf has
     e2 = e3 = 0, so only its faces are counted: g = 0 exactly when there are
@@ -126,14 +126,9 @@ def _classes_at(n, genus_filter, torsion_free):
         if roots[0] != 0:
             return
         code = _root_code(sigma, alpha, 0, None)
-        ties = 1
-        for root in roots[1:]:
-            other = _root_code(sigma, alpha, root, code)
-            if other is code:
-                ties += 1
-            elif other is not None:                # smaller: not canonical
-                return
-        pairs.append((code, ties))
+        ties = _ties(sigma, alpha, roots, code)
+        if ties:
+            pairs.append((code, ties))
 
     _search(n, torsion_free, emit)
     pairs.sort()

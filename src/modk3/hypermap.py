@@ -18,8 +18,10 @@ the edges, the canonical code with the roots that tie it from one walk
 over the candidate roots, the proof that a code is the canonical code of
 the dessin it decodes to, the test of a torsion-free dessin against a
 given code that stops at the first tying root, and the automorphism group
-those tying roots give, with its action on faces and loops.  The public
-entries validate their pair; the private walks trust theirs.
+those tying roots give, as its sorted elements.  The roots other than 0
+are held against a code in one loop (_ties), which the proof and the
+search's leaf test share.  The public entries validate their pair; the
+private walks trust theirs.
 """
 
 from collections import namedtuple
@@ -316,6 +318,22 @@ def canonical_form(h):
     return best, ties
 
 
+def _ties(sigma, alpha, roots, code):
+    """1 + the number of non-zero roots among roots that walk to code, or
+    0 once one walks below it: each is abandoned at the first byte above
+    code.  With root 0 walking to code, the ties are the Aut-orbit that
+    canonical_form counts, so a non-zero result is |Aut|."""
+    ties = 1
+    for root in roots:
+        if root:
+            walked = _root_code(sigma, alpha, root, code)
+            if walked is code:
+                ties += 1
+            elif walked is not None:
+                return 0
+    return ties
+
+
 def _canonical_ties(h, code):
     """|Aut| of the dessin h if code, the code h was decoded from
     (from_code), is its canonical code; 0 if it is not.
@@ -323,13 +341,11 @@ def _canonical_ties(h, code):
     Root 0 relabels nothing exactly when its breadth-first walk discovers
     the edges in label order, so on a transitive pair one scan of the
     sigma and alpha images, in the order the walk reads them, proves that
-    root 0 walks to code.  The other candidate roots are walked against
-    code, abandoned at the first byte above it.  One that gives a smaller
-    code refutes it; the ones that tie it are, with root 0, the Aut-orbit
-    that canonical_form counts.  A root 0 that is no candidate loses to
-    the candidates at sigma byte 1 or 2, which the walks find.  No
-    canonical code is derived: canonical_form is for naming the code that
-    a refused one should be.
+    root 0 walks to code.  The other candidate roots are held against code
+    (_ties): one that gives a smaller code refutes it.  A root 0 that is no
+    candidate loses to the candidates at sigma byte 1 or 2, which the walks
+    find.  No canonical code is derived: canonical_form is for naming the
+    code that a refused one should be.
     """
     sigma, alpha = h
     k = 1                                    # edges discovered so far
@@ -342,15 +358,7 @@ def _canonical_ties(h, code):
             k += 1
         elif a > k:
             return 0
-    ties = 1
-    for root in _candidate_roots(sigma, alpha):
-        if root:
-            walked = _root_code(sigma, alpha, root, code)
-            if walked is code:
-                ties += 1
-            elif walked is not None:
-                return 0
-    return ties
+    return _ties(sigma, alpha, _candidate_roots(sigma, alpha), code)
 
 
 def _is_walk_code(h, code):
@@ -360,19 +368,18 @@ def _is_walk_code(h, code):
     an isomorphism test: it stops at the first root that ties code, and a
     root is abandoned at the first sigma byte above code's.  Only the
     candidate roots of code's kind are walked: code's first alpha byte is 1
-    from a loop partner (alpha r = sigma r), 2 from a loop edge (sigma
-    alpha r = r).  A loopless h has neither, so all its roots are walked.
+    exactly from a root whose alpha and sigma images agree.
     """
     sigma, alpha = h
     n = len(sigma)
     if len(code) != 1 + 2 * n or code[0] != n:
         return False
-    if code[1 + n] == 1:
-        roots = [r for r in range(n) if alpha[r] == sigma[r]]
-    else:
-        roots = [r for r in range(n) if sigma[alpha[r]] == r]
-    return any(_root_code(sigma, alpha, r, code) is code
-               for r in roots or range(n))
+    partner = code[1 + n] == 1
+    for r in _candidate_roots(sigma, alpha):
+        if ((alpha[r] == sigma[r]) == partner
+                and _root_code(sigma, alpha, r, code) is code):
+            return True
+    return False
 
 
 def canonical_code(h):
@@ -393,10 +400,6 @@ def from_code(code):
 
 # ------------------------------------------------------------- automorphisms
 
-AutomorphismGroup = namedtuple(
-    "AutomorphismGroup", "order elements faces face_action loops loop_action")
-
-
 def automorphism_group(h):
     """All psi with psi*sigma = sigma*psi and psi*alpha = alpha*psi, h
     validated first; see _automorphism_group."""
@@ -404,14 +407,13 @@ def automorphism_group(h):
 
 
 def _automorphism_group(h):
-    """The automorphism group of the dessin h, unchecked.
+    """The automorphisms of the dessin h as a sorted tuple, identity
+    first; h is unchecked.
 
     The roots that tie the canonical code all relabel h into the same
     dessin, so the map sending the discovery order from the first of them
     onto the order from each one is an automorphism, and these are all of
-    them.  The elements are sorted, which puts the identity first.  The
-    induced actions on faces and on loops (width-1 faces, in ascending edge
-    order -- the same order torsion.loops uses) come along for the ride.
+    them.
     """
     sigma, alpha = h
     _, roots = canonical_form(h)
@@ -422,16 +424,4 @@ def _automorphism_group(h):
         for e, image in zip(orders[0], order):
             psi[e] = image
         els.append(tuple(psi))
-    els.sort()
-
-    faces = cycles(h.phi())
-    face_of = {}
-    for i, face in enumerate(faces):
-        for e in face:
-            face_of[e] = i
-    face_action = [tuple(face_of[psi[face[0]]] for face in faces) for psi in els]
-    loops = tuple(i for i, f in enumerate(faces) if len(f) == 1)
-    loop_pos = {fi: j for j, fi in enumerate(loops)}
-    loop_action = [tuple(loop_pos[fa[fi]] for fi in loops) for fa in face_action]
-    return AutomorphismGroup(len(els), tuple(els), tuple(faces),
-                             tuple(face_action), loops, tuple(loop_action))
+    return tuple(sorted(els))

@@ -16,8 +16,10 @@ from collections import namedtuple
 
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import enumerate_classes
-from .hypermap import _automorphism_group, from_code
+from .hypermap import _automorphism_group, cycles, from_code
 from .torsion import expand_classes, orbit_representatives
+
+STRATA = (6, 12, 18, 24)     # the tf indices 6k of the K3 strata, k = 1..4
 
 LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one")
 
@@ -44,9 +46,10 @@ def star_orbit_count(rec, k):
     dessin of index 6k; the parity comes from 12 | (6k + 6 * #stars)."""
     if rec.e2 or rec.e3:
         raise DomainError("star placement lives on tf dessins")
-    aut = _automorphism_group(_decode(rec))
-    return sum(1 for v in orbit_representatives(aut.face_action, (0, 1))
-               if sum(v) <= 4 - k and sum(v) % 2 == k % 2)
+    h = _decode(rec)
+    return sum(1 for v in orbit_representatives(
+        _automorphism_group(h), cycles(h.phi()), (0, 1))
+        if sum(v) <= 4 - k and sum(v) % 2 == k % 2)
 
 
 def lift_profile(rec):
@@ -109,7 +112,7 @@ def totals(catalog):
     by_tf = {}
     codes = set()
     for rec in catalog:
-        if tf_index(rec) not in (6, 12, 18, 24):
+        if tf_index(rec) not in STRATA:
             raise IncompleteCatalog(
                 f"record {rec.canonical_code[:8]}... retracts to index "
                 f"{tf_index(rec)}, outside 6..24")
@@ -119,7 +122,7 @@ def totals(catalog):
         codes.add(rec.canonical_code)
         by_tf.setdefault(rec.tf_code, []).append(rec)
 
-    for n in (6, 12, 18, 24):
+    for n in STRATA:
         counts = _tf_expansion_counts(n)
         for code, want in counts.items():
             have = len(by_tf.get(code, ()))

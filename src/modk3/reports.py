@@ -14,8 +14,8 @@ import json
 from . import lifts
 from .errors import IncompleteCatalog, ValidationError
 from .hypermap import _automorphism_group, cycles
-from .lifts import _decode, stored_lifts, tf_index
-from .torsion import BLACK, KEEP, WHITE, orbit_representatives
+from .lifts import STRATA, _decode, stored_lifts, tf_index
+from .torsion import BLACK, KEEP, WHITE, loops, orbit_representatives
 
 
 def _partition(rec):
@@ -143,8 +143,9 @@ def report_k24(records):
             continue
         h = _decode(rec)
         aut = _automorphism_group(h)
-        label = "any" if rec.loop_count == 0 else group_label(aut.elements)
-        mult = sum(1 for _ in orbit_representatives(aut.loop_action,
+        label = "any" if rec.loop_count == 0 else group_label(aut)
+        blocks = [(site.fixed_edge,) for site in loops(h)]
+        mult = sum(1 for _ in orbit_representatives(aut, blocks,
                                                     (KEEP, WHITE, BLACK)))
         key = (rec.loop_count, label)
         count, seen_mult = rows.get(key, (0, mult))
@@ -170,7 +171,7 @@ def report_k24sym(records):
         if (tf_index(rec) == 24 and rec.e2 == 0 and rec.e3 == 0
                 and rec.loop_count > 0 and rec.aut_order > 1):
             h = _decode(rec)
-            label = group_label(_automorphism_group(h).elements)
+            label = group_label(_automorphism_group(h))
             picks.append((rec, label))
     lines = ["symmetry  loops  partition"]
     order = {"Z/2": 0, "Z/3": 1, "Z/2xZ/2": 2, "Z/4": 3}
@@ -187,7 +188,7 @@ def report_totals(records):
     # lifts.totals (bench/tracer.py) sees it
     summary = lifts.totals(records)
     lines = ["stratum  classes  lifts"]
-    for n in (6, 12, 18, 24):
+    for n in STRATA:
         lines.append(f"{n:7d}  {summary.classes_by_index.get(n, 0):7d}"
                      f"  {summary.lifts_by_index.get(n, 0):5d}")
     lines.append(f"total classes {summary.total_classes}")

@@ -31,8 +31,8 @@ LoopSite = namedtuple("LoopSite", "fixed_edge partner attach attach_partner")
 def loops(h):
     """LoopSites of all width-1 faces, ascending by fixed edge.
 
-    The j-th site here is the j-th point of automorphism_group's
-    loop_action -- both walk faces by smallest edge.
+    The j-th site is the j-th letter of an assignment, for substitute and
+    for the orbit listing in expand_classes alike.
     """
     sigma, alpha = h
     out = []
@@ -116,16 +116,22 @@ def tf_retract(h):
     return Hypermap(sigma, alpha)
 
 
-def orbit_representatives(action, alphabet):
+def orbit_representatives(elements, blocks, alphabet):
     """Yield, in itertools.product order, each assignment of letters of
-    alphabet to the points of the action (a loop_action or face_action)
-    that none of its images undercuts, g moving point j's letter to g[j]:
-    the least of each orbit, starting with the first letter on every point."""
-    inverses = [sorted(range(len(g)), key=g.__getitem__) for g in action]
-    for a in itertools.product(alphabet, repeat=len(action[0])):
+    alphabet to blocks that none of its images undercuts: the least of
+    each orbit, starting with the first letter on every block.
+
+    blocks are disjoint edge tuples that the automorphisms in elements
+    permute (faces, or loops as 1-tuples).  elements must be a whole group,
+    closed under inverses, since each psi is applied through its inverse:
+    block j takes the letter of the block that psi sends it to.
+    """
+    block_of = {e: j for j, block in enumerate(blocks) for e in block}
+    action = [[block_of[psi[block[0]]] for block in blocks] for psi in elements]
+    for a in itertools.product(alphabet, repeat=len(blocks)):
         # compared as lists: a tuple per image grew a read's peak RSS 2%
         listed = list(a)
-        if all([a[j] for j in inverse] >= listed for inverse in inverses):
+        if all([a[j] for j in g] >= listed for g in action):
             yield a
 
 
@@ -139,7 +145,8 @@ def expand_classes(h_tf):
     loop is one edge, so no automorphism but the identity fixes a loop.
     """
     out = []
-    for a in orbit_representatives(_automorphism_group(h_tf).loop_action,
+    blocks = [(site.fixed_edge,) for site in loops(h_tf)]
+    for a in orbit_representatives(_automorphism_group(h_tf), blocks,
                                    (KEEP, WHITE, BLACK)):
         try:
             out.append((a, substitute(h_tf, a)))

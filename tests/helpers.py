@@ -4,7 +4,9 @@ The brute-force oracle and the rooted counts cross-check the search, and
 reference_automorphisms (every image of edge 0 tried through _extend_map)
 cross-checks the automorphism group that the canonical walk gives;
 burnside_count counts Aut-orbits of assignments independently of the
-orbit_representatives listing that expansion and the k24 report use;
+orbit_representatives listing that expansion and the k24 report use, on
+the action that block_action builds from the automorphisms and the
+blocks they permute (loop_blocks for the loops);
 cycle notation, cycle types, relabelling and white-vertex typing build
 and inspect test dessins; mul, inv and the S/T matrices multiply the
 package's Mat2, and word_perm and member_sign push S/T words through a
@@ -29,6 +31,7 @@ from modk3.hypermap import (
 )
 from modk3.lifts import tf_index
 from modk3.slwords import Mat2, coset_action, word_of_matrix
+from modk3.torsion import loops
 
 ORACLE_MAX = 12
 
@@ -125,6 +128,21 @@ def reference_automorphisms(h):
 
 
 # ---------------------------------------------------- substitution orbits
+
+def block_action(elements, blocks):
+    """Each automorphism as the permutation of blocks, disjoint edge
+    tuples that it permutes, that it induces: g[j] is the block psi sends
+    block j to."""
+    block_of = {e: j for j, block in enumerate(blocks) for e in block}
+    return tuple(tuple(block_of[psi[block[0]]] for block in blocks)
+                 for psi in elements)
+
+
+def loop_blocks(h):
+    """The loops of the tf dessin h as 1-tuples, in torsion.loops order:
+    the blocks an assignment's letters sit on."""
+    return [(site.fixed_edge,) for site in loops(h)]
+
 
 def burnside_count(loop_action, options_per_loop):
     """Orbits of per-loop option assignments under the given action.

@@ -18,9 +18,10 @@ from modk3.slwords import coset_action
 from modk3.torsion import BLACK, substitute, tf_retract
 
 from helpers import (
-    brute_force_oracle, burnside_count, class_dessins, corollary_euler,
-    cycle_type, minimal_euler, minimal_euler_tf, perm_from_cycles,
-    rooted_count, white_vertex_types, word_perm,
+    block_action, brute_force_oracle, burnside_count, class_dessins,
+    corollary_euler, cycle_type, loop_blocks, minimal_euler,
+    minimal_euler_tf, perm_from_cycles, rooted_count, white_vertex_types,
+    word_perm,
 )
 
 TF_COUNTS = {6: (2, 4), 12: (6, 32), 18: (26, 336), 24: (191, 4096)}
@@ -155,13 +156,13 @@ def test_criterion_4_index24_loops_and_symmetries(full_catalog):
     for r in tf24:
         h = from_code(bytes.fromhex(r.canonical_code))
         aut = automorphism_group(h)
-        label = reports.group_label(aut.elements)
-        mult = burnside_count(aut.loop_action, 3)
+        label = reports.group_label(aut)
+        mult = burnside_count(block_action(aut, loop_blocks(h)), 3)
         key = (r.loop_count, "any" if r.loop_count == 0 else label)
         count, old = rows.get(key, (0, mult))
         assert old == mult
         rows[key] = (count + 1, mult)
-        if r.loop_count > 0 and aut.order > 1:
+        if r.loop_count > 0 and len(aut) > 1:
             loopy_sym.append((label, r.loop_count, _partition(r)))
     assert {(k[0], k[1], m, c) for k, (c, m) in rows.items()} == LOOP24_CENSUS
     assert sum(c for c, _ in rows.values()) == 191
@@ -245,10 +246,10 @@ def test_criterion_7_invariant_suite(full_catalog):
 
         aut = automorphism_group(h)
         types = white_vertex_types(h)
-        for psi in aut.elements[1:]:
+        for psi in aut[1:]:
             for cyc, trip in types.items():
                 if {psi[e] for e in cyc} == set(cyc):
-                    assert aut.order % 3 == 0, rec.id
+                    assert len(aut) % 3 == 0, rec.id
                     assert trip[0] == trip[1] == trip[2], rec.id
 
     # each tf class carries one record per Aut-orbit of its Keep/White/Black
@@ -258,7 +259,8 @@ def test_criterion_7_invariant_suite(full_catalog):
     mismatches = {}
     for code, rec_id in tf_ids.items():
         h = from_code(bytes.fromhex(code))
-        orbits = burnside_count(automorphism_group(h).loop_action, 3)
+        orbits = burnside_count(
+            block_action(automorphism_group(h), loop_blocks(h)), 3)
         if orbits != over[code]:
             mismatches[rec_id] = (orbits, over[code])
     assert mismatches == {"4,1,1-A": (6, 5)}

@@ -13,8 +13,9 @@ from modk3.hypermap import (
 )
 
 from helpers import (
-    cusp_widths, cycle_type, identity_perm, loop_count, perm_from_cycles,
-    reference_automorphisms, relabel, white_vertex_types,
+    block_action, cusp_widths, cycle_type, identity_perm, loop_blocks,
+    loop_count, perm_from_cycles, reference_automorphisms, relabel,
+    white_vertex_types,
 )
 
 # Hand-built reference dessins -------------------------------------------
@@ -170,47 +171,49 @@ def test_codes_separate_the_models():
 
 
 def test_automorphism_groups():
-    assert automorphism_group(FULL).order == 1
-    assert automorphism_group(H1).order == 1
-    assert automorphism_group(H2).order == 2
+    assert len(automorphism_group(FULL)) == 1
+    assert len(automorphism_group(H1)) == 1
+    assert len(automorphism_group(H2)) == 2
     aut = automorphism_group(W411)
-    assert aut.order == 2
-    assert aut.elements[0] == identity_perm(6)
+    assert len(aut) == 2
+    assert aut[0] == identity_perm(6)
     # regular action: the full right-multiplication group survives
-    assert automorphism_group(a4_regular()).order == 12
+    assert len(automorphism_group(a4_regular())) == 12
 
 
 def test_automorphism_elements_commute_with_both():
     for h in MODELS + [a4_regular()]:
         aut = automorphism_group(h)
-        assert h.n % aut.order == 0
-        for psi in aut.elements:
+        assert h.n % len(aut) == 0
+        for psi in aut:
             assert compose(psi, h.sigma) == compose(h.sigma, psi)
             assert compose(psi, h.alpha) == compose(h.alpha, psi)
 
 
 def test_loop_action():
     aut = automorphism_group(W411)
-    assert aut.loops == tuple(i for i, f in enumerate(aut.faces) if len(f) == 1)
-    assert len(aut.loops) == 2
+    blocks = loop_blocks(W411)
+    assert blocks == [f for f in cycles(W411.phi()) if len(f) == 1]
+    assert len(blocks) == 2
     # the nontrivial automorphism must swap the two loops
-    assert aut.loop_action[0] == (0, 1)
-    assert aut.loop_action[1] == (1, 0)
+    assert block_action(aut, blocks) == ((0, 1), (1, 0))
 
 
 def test_face_action_is_consistent():
     rng = random.Random(3)
     for h in MODELS + [a4_regular()]:
         aut = automorphism_group(h)
-        for psi, fa in zip(aut.elements, aut.face_action):
-            for i, face in enumerate(aut.faces):
+        faces = cycles(h.phi())
+        for psi, fa in zip(aut, block_action(aut, faces)):
+            for i, face in enumerate(faces):
                 for e in face:
-                    assert psi[e] in aut.faces[fa[i]]
-            assert sorted(fa) == list(range(len(aut.faces)))
-        if aut.loops:
-            for la in aut.loop_action:
-                assert sorted(la) == list(range(len(aut.loops)))
-        rng.shuffle(list(aut.elements))  # order should not matter for checks
+                    assert psi[e] in faces[fa[i]]
+            assert sorted(fa) == list(range(len(faces)))
+        loop_faces = [f for f in faces if len(f) == 1]
+        if loop_faces:
+            for la in block_action(aut, loop_faces):
+                assert sorted(la) == list(range(len(loop_faces)))
+        rng.shuffle(list(aut))  # order should not matter for checks
 
 
 def test_white_vertex_types():
@@ -375,7 +378,7 @@ def test_canonical_code_matches_reference(h, data):
         code, roots = canonical_form(g)
         reference = reference_automorphisms(g)
         assert code == want and len(roots) == len(reference)
-        assert automorphism_group(g).elements == reference
+        assert automorphism_group(g) == reference
         # the filter keeps exactly the roots with the least two sigma
         # bytes, so every root that reaches the minimum survives it
         codes = [reference_root_code(g, root) for root in range(g.n)]
@@ -404,8 +407,8 @@ def test_automorphism_group_matches_the_reference_on_the_catalog(full_catalog):
     for rec in full_catalog:
         h = from_code(bytes.fromhex(rec.canonical_code))
         aut = automorphism_group(h)
-        assert aut.elements == reference_automorphisms(h), rec.id
-        assert aut.order == rec.aut_order, rec.id
+        assert aut == reference_automorphisms(h), rec.id
+        assert len(aut) == rec.aut_order, rec.id
 
 
 @settings(max_examples=200, deadline=None)

@@ -199,6 +199,18 @@ def test_the_lift_rules_run_only_where_the_counts_are_made_or_read():
         "lift_profile": {"catalog.validate_record", "catalog.add_lift_fields"}}
 
 
+def test_one_tie_loop_and_one_walk_per_root_rule():
+    # the roots other than 0 are held against a code in one loop, which
+    # the read's proof and the search's leaf test share, and only hypermap
+    # and the search's root 0 walk a root: no other module loops over
+    # roots against a code
+    assert _users({"_ties"}) == {
+        "_ties": {"hypermap._canonical_ties", "generate._classes_at"}}
+    assert _users({"_root_code"}) == {"_root_code": {
+        "hypermap.canonical_form", "hypermap._ties", "hypermap._is_walk_code",
+        "generate._classes_at"}}
+
+
 def test_one_listing_of_orbit_representatives():
     # expansion and star placement list their Aut-orbits through one helper
     found = set()

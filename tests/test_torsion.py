@@ -10,7 +10,7 @@ import modk3
 from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.hypermap import (
     _candidate_roots, _is_walk_code, _reach_order, _root_code,
-    automorphism_group, canonical_code, subgroup_type, validate,
+    automorphism_group, canonical_code, cycles, subgroup_type, validate,
     Hypermap,
 )
 from modk3.torsion import (
@@ -19,7 +19,8 @@ from modk3.torsion import (
 )
 
 from helpers import (
-    burnside_count, class_dessins, cusp_widths, perm_from_cycles, relabel,
+    block_action, burnside_count, class_dessins, cusp_widths, loop_blocks,
+    perm_from_cycles, relabel,
 )
 
 W411 = Hypermap(perm_from_cycles(6, (0, 2, 1), (3, 5, 4)),
@@ -247,32 +248,29 @@ def test_expansions_are_pairwise_distinct():
 
 def test_expand_agrees_with_burnside():
     # [4,1,1] is the only class in range with a degenerate assignment; the
-    # face subsets that the star rule sorts are counted by Burnside too;
-    # loops and the loop action list the loops in one order, so that an
-    # assignment means the same to substitute as to the orbit listing
+    # face subsets that the star rule sorts are counted by Burnside too
     for n in (6, 12, 18, 24):
         for h in tf_classes(n):
             aut = automorphism_group(h)
-            assert [s.fixed_edge for s in loops(h)] == \
-                [aut.faces[i][0] for i in aut.loops]
-            want = burnside_count(aut.loop_action, 3)
+            want = burnside_count(block_action(aut, loop_blocks(h)), 3)
             if cusp_widths(h) == (4, 1, 1):
                 want -= 1
             assert len(expand_classes(h)) == want
-            assert len(list(orbit_representatives(aut.face_action, (0, 1)))) \
-                == burnside_count(aut.face_action, 2)
+            faces = cycles(h.phi())
+            assert len(list(orbit_representatives(aut, faces, (0, 1)))) \
+                == burnside_count(block_action(aut, faces), 2)
 
 
 def test_burnside_table_values():
     z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     z4 = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
     triv2 = ((0, 1),)
-    assert burnside_count(z3, 3) == 11
-    assert burnside_count(z4, 3) == 24
-    assert burnside_count(triv2, 3) == 9
-    for action, want in ((z3, 11), (z4, 24), (triv2, 9)):
-        assert len(list(orbit_representatives(action, (KEEP, WHITE, BLACK)))) \
-            == want
+    # each group acts on its points as blocks of one edge each
+    for elements, want in ((z3, 11), (z4, 24), (triv2, 9)):
+        points = [(j,) for j in range(len(elements[0]))]
+        assert burnside_count(block_action(elements, points), 3) == want
+        assert len(list(orbit_representatives(
+            elements, points, (KEEP, WHITE, BLACK)))) == want
     # not a group: the orbit average 14/3 is no count
     try:
         burnside_count(((0, 1, 2), (0, 2, 1), (1, 2, 0)), 2)
