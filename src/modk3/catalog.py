@@ -6,11 +6,11 @@ grep-ability.  Every command reads through read_records, which checks
 each stored field against its code, lift counts included: the code is
 proved canonical against its own bytes, the rest is derived as the record
 build derives it and compared.  A torsion record's tf code is checked by
-an isomorphism test against its retraction, and each distinct tf code is
-proved canonical once per read.  The reports then read the stored lift
-counts, which the read has proved.  Records of one read_records,
-enumerate_records or expand_records call share equal repeated values
-through one table, a local of that call.
+an isomorphism test against its retraction, and each distinct code, own
+or tf, is proved canonical once per read.  The reports then read the
+stored lift counts, which the read has proved.  Records of one
+read_records, enumerate_records or expand_records call share equal
+repeated values through one table, a local of that call.
 IDs are human-facing: cusp-width partition plus a letter counting classes
 with that partition in canonical-code order ("4,1,1-A").  The reports,
 DOT export and deep verify live in modk3.reports; the commands reach them
@@ -50,8 +50,8 @@ def _derived_record(h, code, aut_order, tf_code, shared):
     code; only a torsion dessin's is asked of tf_code(h): retract and walk
     for enumerate, the parent's code for expand, _checked_tf_code for the
     read.  shared, the command's table of repeated values, maps a tf code
-    so asked to itself, a width tuple to its list and an assignment's items
-    to its dict; the record takes these values from it.
+    to itself, a width tuple to its list and an assignment's items to its
+    dict; the record takes these values from it.
     """
     n = len(h.sigma)
     widths, e2, e3 = _face_walk(h)
@@ -117,8 +117,8 @@ def _field_error(lineno, name, desc):
 def _parse_record(obj, lineno, shared):
     """The record of one decoded JSON line, its field names and value types
     checked; the first fault in FIELDS order is a ParseError.  Its tf_code,
-    if already proved, cusp_widths and assignment are drawn from the read's
-    table of repeated values, shared (see _derived_record).
+    cusp_widths and assignment are drawn from the read's table of repeated
+    values, shared (see _derived_record).
 
     json.loads makes only exact types, so type(v) is int tells an integer
     from a bool.
@@ -147,7 +147,7 @@ def _parse_record(obj, lineno, shared):
     for name in ("lift_one_to_one", "lift_two_to_one"):
         if obj[name] is not None and type(obj[name]) is not int:
             raise _field_error(lineno, name, "an integer or null")
-    obj["tf_code"] = shared.get(obj["tf_code"], obj["tf_code"])
+    obj["tf_code"] = shared.setdefault(obj["tf_code"], obj["tf_code"])
     obj["cusp_widths"] = shared.setdefault(tuple(widths), widths)
     obj["assignment"] = shared.setdefault(tuple(counts.items()), counts)
     return DessinRecord._make([obj[name] for name in FIELDS])
@@ -158,18 +158,17 @@ def _walked_tf_code(h):
     return canonical_form(tf_retract(h))[0].hex()
 
 
-def _checked_tf_code(retract, stored, shared):
+def _checked_tf_code(retract, stored, proved):
     """The hex tf code of a torsion dessin whose retraction is retract:
     stored itself if it passes, else the canonical code that the record
     build would derive.
 
     stored passes when a candidate root of retract walks to its bytes (an
     isomorphism test, which also makes them the code of a dessin, so they
-    need no validate) and they are proved canonical (_canonical_ties) in
-    their lower-case hex, once per distinct string: the strings proved are
-    the string keys of the read's table shared, into which _derived_record
-    puts each tf code it is given.  A retraction past MAX_INDEX edges has
-    no code and is a DomainError.
+    need no validate) and they are its lower-case hex, proved canonical:
+    found in proved, the read's {hex code: |Aut|} of the codes proved so
+    far, or proved now (_canonical_ties) and added to it.  A retraction
+    past MAX_INDEX edges has no code and is a DomainError.
     """
     if retract.n > MAX_INDEX:
         raise DomainError(f"its retraction has {retract.n} edges, more than "
@@ -178,13 +177,15 @@ def _checked_tf_code(retract, stored, shared):
         code = bytes.fromhex(stored)
     except ValueError:
         code = b""
-    if _is_walk_code(retract, code) and (stored in shared or (
-            code.hex() == stored and _canonical_ties(from_code(code), code))):
-        return stored
+    if _is_walk_code(retract, code) and code.hex() == stored:
+        ties = proved.get(stored) or _canonical_ties(from_code(code), code)
+        if ties:
+            proved[stored] = ties
+            return stored
     return canonical_form(retract)[0].hex()
 
 
-def validate_record(rec, shared):
+def validate_record(rec, shared, proved):
     """Check every field but id of the record against its canonical code.
 
     The stored code is proved the canonical lower-case hex code of a
@@ -194,11 +195,12 @@ def validate_record(rec, shared):
     fields are derived from the code as the record build derives them and
     compared in FIELDS order, so the first that differs is named.  A
     torsion record's tf_code is checked by an isomorphism test against its
-    retraction, and its canonicity once per distinct tf code: the string
-    keys of shared, the read's table of repeated values, are the tf codes
-    proved so far.  A record that stores any lift count must store the pair
-    the lift rules give, so counts on a class outside the K3 range are
-    refused too.
+    retraction (_checked_tf_code).  proved, the read's {hex code: |Aut|}
+    of the codes proved canonical so far, spares a code found there its
+    proof and gains a torsion-free record's code, so each distinct code is
+    proved once per read; shared is the read's table of repeated values.
+    A record that stores any lift count must store the pair the lift rules
+    give, so counts on a class outside the K3 range are refused too.
     """
     def bad(msg):
         raise ValidationError(f"record {rec.id or rec.canonical_code[:8]}: {msg}")
@@ -206,14 +208,16 @@ def validate_record(rec, shared):
     try:
         code = bytes.fromhex(rec.canonical_code)
         h = validate(from_code(code))
-        ties = _canonical_ties(h, code)
+        ties = proved.get(code.hex()) or _canonical_ties(h, code)
         if not ties:             # refused below; the walk names the code
             code, roots = canonical_form(h)
             ties = len(roots)
         want = _derived_record(h, code, ties, lambda t: _checked_tf_code(
-            tf_retract(t), rec.tf_code, shared), shared)
+            tf_retract(t), rec.tf_code, proved), shared)
     except (Modk3Error, ValueError) as exc:
         bad(f"canonical_code does not rebuild a record ({exc})")
+    if not (want.e2 or want.e3):
+        proved[want.canonical_code] = want.aut_order
     lift_pair = (None, None)
     if rec.lift_one_to_one is not None or rec.lift_two_to_one is not None:
         try:
@@ -237,13 +241,15 @@ def read_records(path):
     unknown field
     or a canonical code already seen on an earlier line is a ParseError; a
     record that validate_record refuses is a ValidationError; both name
-    the line.  One table of repeated values, a local of this call, serves
-    the whole read: each distinct tf code is proved once, and records
-    share one object of each equal tf_code, cusp_widths and assignment.
+    the line.  Two tables, locals of this call, serve the whole read:
+    proved maps each code proved canonical to its |Aut|, so each distinct
+    code is proved once, and through shared the records share one object
+    of each equal tf_code, cusp_widths and assignment.
     """
     records = []
     first_line = {}
     shared = {}
+    proved = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -260,7 +266,7 @@ def read_records(path):
             if first != lineno:
                 raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
             try:
-                validate_record(rec, shared)
+                validate_record(rec, shared, proved)
             except ValidationError as exc:
                 raise ValidationError(f"line {lineno}: {exc}")
             records.append(rec)

@@ -12,16 +12,17 @@ must not be changed in isolation.
 
 Permutations are tuples of images: p[i] is the image of i.
 
-Here: permutation helpers, the Hypermap pair and validate, the one check
-of a dessin, the type (n; g, h, e2, e3) and cusp widths from one pass over
-the edges, the canonical code with the roots that tie it from one walk
-over the candidate roots, the proof that a code is the canonical code of
-the dessin it decodes to, the test of a torsion-free dessin against a
-given code that stops at the first tying root, and the automorphism group
-those tying roots give, as its sorted elements.  The roots other than 0
-are held against a code in one loop (_ties), which the proof and the
-search's leaf test share.  The public entries validate their pair; the
-private walks trust theirs.
+Here: a permutation's cycles and fixed points, the Hypermap pair and
+validate, the one check of a dessin, the type (n; g, h, e2, e3) and cusp
+widths from one pass over the edges, the canonical code with the roots
+that tie it from one walk over the candidate roots, the proof that a
+code is the canonical code of the dessin it decodes to, the test of a
+torsion-free dessin against a given code that stops at the first tying
+root, and the automorphism group those tying roots give, as its sorted
+elements, with the name of a small one (group_label) that the k24
+reports print.  The roots other than 0 are held against a code in one
+loop (_ties), which the proof and the search's leaf test share.  The
+public entries validate their pair; the private walks trust theirs.
 """
 
 from collections import namedtuple
@@ -30,18 +31,6 @@ from .errors import DomainError, NotTransitive, OrderViolation
 
 
 # ------------------------------------------------------------- permutations
-
-def compose(p, q):
-    """(p*q)(x) = p(q(x)) -- q acts first."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
-
 
 def cycles(p):
     """Cycles of p, each starting at its smallest point, ordered by that point.
@@ -425,3 +414,27 @@ def _automorphism_group(h):
             psi[e] = image
         els.append(tuple(psi))
     return tuple(sorted(els))
+
+
+def group_label(elements):
+    """Name the automorphism group from its elements (tiny orders only)."""
+    order = len(elements)
+    if order in (1, 2, 3):
+        return ("trivial", "Z/2", "Z/3")[order - 1]
+
+    def element_order(psi):
+        k, acc = 1, psi
+        ident = tuple(range(len(psi)))
+        while acc != ident:
+            acc = tuple(psi[x] for x in acc)
+            k += 1
+        return k
+
+    orders = sorted(element_order(psi) for psi in elements)
+    if order == 4:
+        return "Z/4" if 4 in orders else "Z/2xZ/2"
+    if order == 6:
+        return "Z/6" if 6 in orders else "S3"
+    if order == 12 and max(orders) == 3:
+        return "A4"
+    return f"order-{order}"

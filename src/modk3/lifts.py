@@ -9,7 +9,8 @@ canonical_code (codes as hex strings) works, so this module does not
 depend on the catalog layer.  The code must be a dessin's, as in a record
 that read_records returns or the record build makes: the dessin was
 validated where it entered, so the lift rules decode and walk it unchecked.
-totals reads lift_one_to_one and lift_two_to_one, as a read proved them.
+totals only checks that a catalog is complete; the reports count its
+classes and the stored lifts, as a read proved them (stored_lifts).
 """
 
 from collections import namedtuple
@@ -22,11 +23,6 @@ from .torsion import expand_classes, orbit_representatives
 STRATA = (6, 12, 18, 24)     # the tf indices 6k of the K3 strata, k = 1..4
 
 LiftProfile = namedtuple("LiftProfile", "one_to_one two_to_one")
-
-TotalsSummary = namedtuple(
-    "TotalsSummary",
-    "classes_by_index lifts_by_index total_classes total_lifts "
-    "bijective_classes multi_classes multi_lifts")
 
 
 def _decode(rec):
@@ -102,7 +98,7 @@ def _tf_expansion_counts(n):
 
 
 def totals(catalog):
-    """Stratum and global lift totals over a complete K catalog.
+    """Check that catalog is a complete K catalog; returns None.
 
     Completeness is re-derived, not trusted: every torsion-free class of
     index 6..24 is re-enumerated and its expansion count compared against
@@ -134,21 +130,3 @@ def totals(catalog):
         if stray:
             raise IncompleteCatalog(
                 f"{len(stray)} records at tf index {n} reference unknown tf classes")
-
-    classes_by_index = {}
-    lifts_by_index = {}
-    bijective = multi_classes = multi_lifts = 0
-    for rec in catalog:
-        n = tf_index(rec)
-        count = sum(stored_lifts(rec))
-        classes_by_index[n] = classes_by_index.get(n, 0) + 1
-        lifts_by_index[n] = lifts_by_index.get(n, 0) + count
-        if count == 1:
-            bijective += 1
-        else:
-            multi_classes += 1
-            multi_lifts += count
-    return TotalsSummary(classes_by_index, lifts_by_index,
-                         sum(classes_by_index.values()),
-                         sum(lifts_by_index.values()),
-                         bijective, multi_classes, multi_lifts)

@@ -13,37 +13,13 @@ import json
 
 from . import lifts
 from .errors import IncompleteCatalog, ValidationError
-from .hypermap import _automorphism_group, cycles
+from .hypermap import _automorphism_group, cycles, group_label
 from .lifts import STRATA, _decode, stored_lifts, tf_index
 from .torsion import BLACK, KEEP, WHITE, loops, orbit_representatives
 
 
 def _partition(rec):
     return ",".join(str(w) for w in rec.cusp_widths)
-
-
-def group_label(elements):
-    """Name the automorphism group from its elements (tiny orders only)."""
-    order = len(elements)
-    if order in (1, 2, 3):
-        return ("trivial", "Z/2", "Z/3")[order - 1]
-
-    def element_order(psi):
-        k, acc = 1, psi
-        ident = tuple(range(len(psi)))
-        while acc != ident:
-            acc = tuple(psi[x] for x in acc)
-            k += 1
-        return k
-
-    orders = sorted(element_order(psi) for psi in elements)
-    if order == 4:
-        return "Z/4" if 4 in orders else "Z/2xZ/2"
-    if order == 6:
-        return "Z/6" if 6 in orders else "S3"
-    if order == 12 and max(orders) == 3:
-        return "A4"
-    return f"order-{order}"
 
 
 def _tf_groups(records, n):
@@ -184,18 +160,26 @@ def report_k24sym(records):
 
 
 def report_totals(records):
+    """Classes and stored lifts per stratum, once lifts.totals has found
+    the catalog complete, so every record retracts into STRATA."""
     # looked up on lifts at each call, where a wrapper installed on
     # lifts.totals (bench/tracer.py) sees it
-    summary = lifts.totals(records)
+    lifts.totals(records)
+    classes = dict.fromkeys(STRATA, 0)
+    carried = dict.fromkeys(STRATA, 0)
+    multi = []                  # the lift counts of the multi-lift classes
+    for rec in records:
+        n, count = tf_index(rec), sum(stored_lifts(rec))
+        classes[n] += 1
+        carried[n] += count
+        if count != 1:
+            multi.append(count)
     lines = ["stratum  classes  lifts"]
-    for n in STRATA:
-        lines.append(f"{n:7d}  {summary.classes_by_index.get(n, 0):7d}"
-                     f"  {summary.lifts_by_index.get(n, 0):5d}")
-    lines.append(f"total classes {summary.total_classes}")
-    lines.append(f"total lifts {summary.total_lifts}")
-    lines.append(f"bijective {summary.bijective_classes}")
-    lines.append(f"multi-lift classes {summary.multi_classes} "
-                 f"carrying {summary.multi_lifts} lifts")
+    lines += [f"{n:7d}  {classes[n]:7d}  {carried[n]:5d}" for n in STRATA]
+    lines.append(f"total classes {len(records)}")
+    lines.append(f"total lifts {sum(carried.values())}")
+    lines.append(f"bijective {len(records) - len(multi)}")
+    lines.append(f"multi-lift classes {len(multi)} carrying {sum(multi)} lifts")
     return lines
 
 

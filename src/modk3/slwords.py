@@ -3,13 +3,13 @@
 verify round-trips fixed-seed random SL(2,Z) matrices through their S/T
 words.  The coset action reproduces the torsion counts and cusp widths
 that every read rebuilds from the code, so no command checks it; the
-tests push words through it (tests/helpers.py word_perm).
+tests push words through it (tests/helpers.py word_perm).  It reads a
+dessin's two image tuples only, so this module imports nothing of the
+package.
 """
 
 from collections import namedtuple
 from itertools import groupby
-
-from .hypermap import compose, inverse
 
 
 class Mat2(namedtuple("Mat2", "a b c d")):
@@ -75,12 +75,11 @@ def word_of_matrix(m):
 def coset_action(h):
     """(perm_S, perm_T) of the edge action with S -> alpha, ST -> sigma.
 
-    perm_T = perm_S^-1 o perm_U where U = ST acts as sigma; with our
-    composition order that is e -> alpha(sigma(e)).  Its cycle type is the
+    perm_T = perm_S^-1 o perm_U where U = ST acts as sigma, and alpha is an
+    involution, so that is e -> alpha(sigma(e)).  Its cycle type is the
     cusp-width partition (conjugate of the face permutation).
     """
-    perm_T = compose(inverse(h.alpha), h.sigma)
-    return h.alpha, perm_T
+    return h.alpha, tuple(h.alpha[s] for s in h.sigma)
 
 
 def random_sl2(rng, bound=1000):

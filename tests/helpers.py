@@ -26,8 +26,8 @@ from modk3 import catalog
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _check_constraints, _classes_at, enumerate_classes
 from modk3.hypermap import (
-    Hypermap, _face_walk, _reach_order, canonical_code, compose, cycles,
-    from_code, inverse, subgroup_type, validate,
+    Hypermap, _face_walk, _reach_order, canonical_code, cycles, from_code,
+    subgroup_type, validate,
 )
 from modk3.lifts import tf_index
 from modk3.slwords import Mat2, coset_action, word_of_matrix
@@ -326,6 +326,18 @@ I2 = Mat2(1, 0, 0, 1)
 S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
 T_INV = inv(T)
+
+
+def compose(p, q):
+    """(p*q)(x) = p(q(x)) -- q acts first."""
+    return tuple(p[q[x]] for x in range(len(p)))
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
 
 
 def word_perm(h, word):

@@ -278,7 +278,7 @@ def test_validation_refuses_a_tf_index_past_one_byte():
     rec = catalog.DessinRecord("chain", code, 240, 0, 1, 82, 0, [240], 1, 0,
                                "00", {"white": 0, "black": 82})
     try:
-        catalog.validate_record(rec, set())
+        catalog.validate_record(rec, {}, {})
         assert False, "a record past the tf index range was accepted"
     except ValidationError as exc:
         assert "does not rebuild a record" in str(exc)
@@ -623,15 +623,9 @@ def non_minimal_tf_code(rec):
     return code
 
 
-def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
-    # each torsion record is retracted once and its retraction only tested
-    # against the stored tf code.  Each code is proved canonical against its
-    # own bytes: one proof per record and one per distinct tf code, of the
-    # dessin that code decodes to.  A valid read makes no canonical walk;
-    # one runs only to name the code that a refused record should store
-    recs = k12_lift_records()
-    path = tmp_path / "k12_lifts.jsonl"
-    catalog.write_records(path, recs)
+def watch_read_proofs(monkeypatch):
+    """Lists that fill as a read runs: the retractions it makes, the
+    (dessin, code) pairs it proves canonical and the dessins it walks."""
     retracts, proved, walked = [], [], []
     retract, ties, form = (catalog.tf_retract, catalog._canonical_ties,
                            catalog.canonical_form)
@@ -641,6 +635,17 @@ def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
                         lambda h, code: proved.append((h, code)) or ties(h, code))
     monkeypatch.setattr(catalog, "canonical_form",
                         lambda h: walked.append(h) or form(h))
+    return retracts, proved, walked
+
+
+def read_proves_each_code_once(path, recs, monkeypatch):
+    """Read path, the file of recs, and check its proofs: each torsion
+    record is retracted once and its retraction only tested against the
+    stored tf code; each distinct code, a record's own or a tf code, is
+    proved canonical once against its own bytes, of the dessin that code
+    decodes to; no canonical walk runs.  Returns the list of walks, which
+    goes on filling."""
+    retracts, proved, walked = watch_read_proofs(monkeypatch)
     assert len(catalog.read_records(path)) == len(recs)
     torsion_recs = [r for r in recs if r.e2 or r.e3]
     assert len(retracts) == len(torsion_recs)
@@ -648,7 +653,18 @@ def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
     assert not any(h is r for h, _ in proved for r in retracts)
     assert all(h == from_code(code) for h, code in proved)
     assert sorted(code.hex() for _, code in proved) == sorted(
-        [r.canonical_code for r in recs] + list({r.tf_code for r in torsion_recs}))
+        {r.canonical_code for r in recs} | {r.tf_code for r in torsion_recs})
+    return walked
+
+
+def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
+    # in file order the torsion records of a class come before its tf
+    # record, so their tf code's proof serves it.  A canonical walk runs
+    # only to name the code that a refused record should store
+    recs = k12_lift_records()
+    path = tmp_path / "k12_lifts.jsonl"
+    catalog.write_records(path, recs)
+    walked = read_proves_each_code_once(path, recs, monkeypatch)
 
     tf = next(r for r in recs if not (r.e2 or r.e3))
     h = from_code(bytes.fromhex(tf.canonical_code))
@@ -663,6 +679,16 @@ def test_read_checks_each_tf_code_by_an_isomorphism_test(tmp_path, monkeypatch):
         assert str(exc) == (f"line 1: record {tf.id}: canonical_code is "
                             f"{stored!r}, the code gives {tf.canonical_code!r}")
     assert walked == [g]
+
+
+def test_a_read_in_reversed_line_order_proves_each_code_once(tmp_path,
+                                                              monkeypatch):
+    # reversed, each tf record comes before the torsion records over it,
+    # so its own proof serves their tf code
+    recs = k12_lift_records()[::-1]
+    path = tmp_path / "k12_reversed.jsonl"
+    catalog.write_records(path, recs)
+    read_proves_each_code_once(path, recs, monkeypatch)
 
 
 def test_read_refuses_a_tf_code_that_is_not_canonical(tmp_path):

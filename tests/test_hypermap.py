@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from modk3.errors import DomainError, Modk3Error, NotTransitive, OrderViolation
 from modk3.hypermap import (
     Hypermap, _canonical_ties, _candidate_roots, _face_count, _genus,
-    automorphism_group, canonical_code, canonical_form, compose,
-    cycles, fixed_points, from_code, inverse, subgroup_type, validate,
+    automorphism_group, canonical_code, canonical_form, cycles,
+    fixed_points, from_code, subgroup_type, validate,
 )
 
 from helpers import (
-    block_action, cusp_widths, cycle_type, identity_perm, loop_blocks,
-    loop_count, perm_from_cycles, reference_automorphisms, relabel,
-    white_vertex_types,
+    block_action, compose, cusp_widths, cycle_type, identity_perm, inverse,
+    loop_blocks, loop_count, perm_from_cycles, reference_automorphisms,
+    relabel, white_vertex_types,
 )
 
 # Hand-built reference dessins -------------------------------------------

@@ -199,6 +199,13 @@ def test_the_lift_rules_run_only_where_the_counts_are_made_or_read():
         "lift_profile": {"catalog.validate_record", "catalog.add_lift_fields"}}
 
 
+def test_only_the_reports_count_the_stored_lifts():
+    # lifts.totals only checks that a catalog is complete; the tables that
+    # print lift counts read the stored pairs themselves
+    assert _users({"stored_lifts"}) == {"stored_lifts": {
+        "reports.report_k6", "reports.report_k12", "reports.report_totals"}}
+
+
 def test_one_tie_loop_and_one_walk_per_root_rule():
     # the roots other than 0 are held against a code in one loop, which
     # the read's proof and the search's leaf test share, and only hypermap

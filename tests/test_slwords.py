@@ -4,14 +4,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from modk3.hypermap import Hypermap, compose, subgroup_type
+from modk3.hypermap import Hypermap, subgroup_type
 from modk3.slwords import (
     Mat2, coset_action, eval_word, random_sl2, word_of_matrix,
 )
 
 from helpers import (
-    I2, S, T, T_INV, class_dessins, cusp_widths, cycle_type, identity_perm,
-    inv, member_sign, mul, perm_from_cycles, word_perm,
+    I2, S, T, T_INV, class_dessins, compose, cusp_widths, cycle_type,
+    identity_perm, inv, member_sign, mul, perm_from_cycles, word_perm,
 )
 
 FULL = Hypermap((0,), (0,))
