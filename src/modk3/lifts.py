@@ -1,7 +1,7 @@
 """Counting SL(2,Z) lift classes realized by K3 surfaces.
 
-The per-record rule table keys on k = (torsion-free index) / 6 and the
-torsion signature (e2, e3).  Lifts are counted, never materialized as
+The lift rules key on k = (torsion-free index) / 6 and the torsion
+signature (e2, e3).  Lifts are counted, never materialized as
 matrix groups; star configurations are face subsets up to automorphism.
 
 Records are duck-typed: anything with e2, e3, genus, tf_code and
@@ -37,23 +37,33 @@ def tf_index(rec):
 
 
 def star_orbit_count(rec, k):
-    """Aut-orbits of face subsets of size at most 4 - k and of the parity
-    of k: the inequivalent ways to place *-fibres on a torsion-free
-    dessin of index 6k; the parity comes from 12 | (6k + 6 * #stars)."""
-    if rec.e2 or rec.e3:
-        raise DomainError("star placement lives on tf dessins")
+    """Aut-orbits of face subsets S with |S| <= 4 - k - e3 and |S| of the
+    parity of k + e3: the inequivalent ways to place *-fibres on a dessin
+    with e2 = 0 and tf index 6k.  At e3 = 0 the parity comes from
+    12 | (6k + 6 * #stars); each sigma fixed point takes one star of the
+    budget.  Only a budget >= 1 walks: at 0 just the empty set fits."""
+    if rec.e2:
+        raise DomainError("star placement needs e2 = 0")
+    budget = 4 - k - rec.e3
+    if budget <= 0:
+        return 1 if budget == 0 else 0
     h = _decode(rec)
     return sum(1 for v in orbit_representatives(
         _automorphism_group(h), cycles(h.phi()), (0, 1))
-        if sum(v) <= 4 - k and sum(v) % 2 == k % 2)
+        if sum(v) <= budget and sum(v) % 2 == (k + rec.e3) % 2)
 
 
 def lift_profile(rec):
     """(1:1 count, 2:1 count) of K3-realized lift classes; rec's code
     must be a dessin's, as a read or the record build gives (unchecked).
-    k = 4, e3 > 0 has one lift of a kind not pinned down, counted 1:1.
+    e2 > 0 has only the full preimage (2-torsion forces -I); k = 4 has one
+    lift, counted 1:1 (with e3 > 0 its kind is not pinned down); otherwise
+    the star rule.  Its e3 term agrees with the per-(k, e3) hand table it
+    replaced on all 107 catalog records with e2 = 0 and k < 4 (73 torsion);
+    at k = 2, e3 = 1 it is budget 1 over 3 faces with trivial Aut: 3 orbits.
     Genus > 0 and tf index > 24 are refused before any walk; only the star
-    rule walks, on tf records at k < 4, to Aut and 2^(k+2) face subsets."""
+    rule walks, on records whose budget is >= 1, to Aut and 2^(k+2-e3)
+    face subsets."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
     k6 = tf_index(rec)
@@ -64,21 +74,10 @@ def lift_profile(rec):
     k = k6 // 6
 
     if rec.e2 > 0:
-        # the unique lift is the full preimage (2-torsion forces -I)
         return LiftProfile(0, 1)
     if k == 4:
         return LiftProfile(1, 0)
-    if rec.e3 == 0:
-        return LiftProfile(star_orbit_count(rec, k), 1)
-    if k == 1:
-        return LiftProfile({1: 2, 2: 1}[rec.e3], 1)
-    if k == 2:
-        # e3 = 1 counts face orbits: tf index 12 = n + 2 e3 gives n = 10, 4
-        # sigma and 5 alpha cycles, so genus 0 leaves 2 + 10 - 4 - 5 = 3
-        # faces; every automorphism fixes the one sigma-fixed edge and Aut
-        # acts freely on edges, so Aut is trivial and there are 3 orbits
-        return LiftProfile({1: 3, 2: 1, 3: 0}[rec.e3], 1)
-    return LiftProfile(1 if rec.e3 == 1 else 0, 1)       # k == 3
+    return LiftProfile(star_orbit_count(rec, k), 1)
 
 
 def stored_lifts(rec):

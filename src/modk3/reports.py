@@ -120,7 +120,7 @@ def report_k24(records):
         h = _decode(rec)
         aut = _automorphism_group(h)
         label = "any" if rec.loop_count == 0 else group_label(aut)
-        blocks = [(site.fixed_edge,) for site in loops(h)]
+        blocks = [(e,) for e in loops(h)]
         mult = sum(1 for _ in orbit_representatives(aut, blocks,
                                                     (KEEP, WHITE, BLACK)))
         key = (rec.loop_count, label)

@@ -16,7 +16,6 @@ automorphism action on loops.
 """
 
 import itertools
-from collections import namedtuple
 
 from .errors import DegenerateSubstitution, DomainError
 from .hypermap import Hypermap, _automorphism_group, fixed_points
@@ -25,14 +24,12 @@ KEEP = "keep"
 WHITE = "white"
 BLACK = "black"
 
-LoopSite = namedtuple("LoopSite", "fixed_edge partner attach attach_partner")
-
 
 def loops(h):
-    """LoopSites of all width-1 faces, ascending by fixed edge.
+    """The loop edges e (phi(e) = e) of all width-1 faces, ascending.
 
-    The j-th site is the j-th letter of an assignment, for substitute and
-    for the orbit listing in expand_classes alike.
+    The j-th loop edge is the j-th letter of an assignment, for substitute
+    and for the orbit listing in expand_classes alike.
     """
     sigma, alpha = h
     out = []
@@ -40,11 +37,10 @@ def loops(h):
         partner = alpha[e]
         if sigma[partner] != e:          # a loop: phi(e) = e
             continue
-        attach = sigma[e]
-        # the loop must hang off a genuine 3-cycle: (e, attach, partner)
-        if partner == e or sigma[attach] != partner:
+        # the loop must hang off a genuine 3-cycle: (e, sigma(e), partner)
+        if partner == e or sigma[sigma[e]] != partner:
             raise DomainError(f"loop at edge {e} is not trivalent (torsion input?)")
-        out.append(LoopSite(e, partner, attach, alpha[attach]))
+        out.append(e)
     return out
 
 
@@ -58,25 +54,26 @@ def substitute(h_tf, assignment):
     survivors stay connected: the one degenerate case deletes every edge,
     and raises DegenerateSubstitution.
     """
-    sites = loops(h_tf)
-    if len(assignment) != len(sites):
-        raise DomainError(f"{len(assignment)} choices for {len(sites)} loops")
+    edges = loops(h_tf)
+    if len(assignment) != len(edges):
+        raise DomainError(f"{len(assignment)} choices for {len(edges)} loops")
+    sigma, alpha = h_tf
     dead = set()
     sigma_fix = set()
     alpha_fix = set()
-    for site, choice in zip(sites, assignment):
+    for e, choice in zip(edges, assignment):
         if choice == KEEP:
             continue
+        attach = sigma[e]
         if choice == WHITE:
-            dead.update((site.fixed_edge, site.partner))
-            sigma_fix.add(site.attach)
+            dead.update((e, alpha[e]))
+            sigma_fix.add(attach)
         elif choice == BLACK:
-            dead.update((site.fixed_edge, site.partner, site.attach))
-            alpha_fix.add(site.attach_partner)
+            dead.update((e, alpha[e], attach))
+            alpha_fix.add(alpha[attach])
         else:
             raise ValueError(f"unknown substitution {choice!r}")
 
-    sigma, alpha = h_tf
     survivors = [e for e in range(len(sigma)) if e not in dead]
     if not survivors:
         raise DegenerateSubstitution("every edge was deleted")
@@ -145,7 +142,7 @@ def expand_classes(h_tf):
     loop is one edge, so no automorphism but the identity fixes a loop.
     """
     out = []
-    blocks = [(site.fixed_edge,) for site in loops(h_tf)]
+    blocks = [(e,) for e in loops(h_tf)]
     for a in orbit_representatives(_automorphism_group(h_tf), blocks,
                                    (KEEP, WHITE, BLACK)):
         try:

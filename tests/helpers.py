@@ -141,7 +141,7 @@ def block_action(elements, blocks):
 def loop_blocks(h):
     """The loops of the tf dessin h as 1-tuples, in torsion.loops order:
     the blocks an assignment's letters sit on."""
-    return [(site.fixed_edge,) for site in loops(h)]
+    return [(e,) for e in loops(h)]
 
 
 def burnside_count(loop_action, options_per_loop):

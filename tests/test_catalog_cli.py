@@ -487,10 +487,11 @@ def test_verify_cli_reports_counts(tmp_path, capsys):
 def test_only_star_orbit_lift_rules_call_automorphism_group(
         tmp_path, monkeypatch, full_catalog):
     # aut_order comes from the canonical walk, so the record build calls
-    # automorphism_group nowhere and a read only where a tf record's lift
-    # rule counts star orbits, 2 + 6 + 26 of them at k < 4; every
-    # namespace that binds the unchecked body counts, and the public name
-    # (torsion's) calls hypermap's
+    # automorphism_group nowhere and a read only where a lift rule counts
+    # star orbits at a budget 4 - k - e3 >= 1: the 2 + 6 + 26 tf records
+    # at k < 4 and the torsion records 3,1-A, 2-A and the four with k = 2,
+    # e3 = 1; every namespace that binds the unchecked body counts, and
+    # the public name (torsion's) calls hypermap's
     calls = []
     group = hypermap._automorphism_group
     for module in (hypermap, reports, lifts):
@@ -500,13 +501,13 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     catalog.write_records(path, k6_records())
     del calls[:]
     assert len(catalog.read_records(path)) == 6
-    assert len(calls) == 2
+    assert len(calls) == 4
     del calls[:]
     assert len(catalog.enumerate_records(12)) == 80
     assert calls == []
     catalog.write_records(path, full_catalog)
     assert len(catalog.read_records(path)) == 3228
-    assert len(calls) == 34
+    assert len(calls) == 40
 
 
 def count_validate_calls(monkeypatch):

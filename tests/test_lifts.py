@@ -1,12 +1,14 @@
-"""Lift-profile rule table, star orbits, stratum bookkeeping."""
+"""Lift rules (the star rule at budget 4 - k - e3, (0, 1) for e2 > 0,
+(1, 0) at k = 4), star orbits, stratum bookkeeping."""
 
 from collections import namedtuple
 
+from modk3 import lifts
 from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
 from modk3.hypermap import canonical_code, cycles, subgroup_type
-from modk3.lifts import lift_profile, star_orbit_count, totals
+from modk3.lifts import lift_profile, star_orbit_count, tf_index, totals
 from modk3.torsion import expand_classes
 
 from helpers import class_dessins, cusp_widths, reference_automorphisms
@@ -79,8 +81,8 @@ def test_lift_profile_k24():
 
 
 def test_k2_e3_one_face_orbits():
-    # the rule's proof: each of the four (e2=0, e3=1) classes over index 12
-    # has a trivial Aut and 3 faces, so 3 face orbits
+    # the star rule at budget 4 - 2 - 1 = 1: each of the four (e2=0, e3=1)
+    # classes over index 12 has a trivial Aut and 3 faces, so 3 face orbits
     seen = 0
     for h in tf_classes(12):
         for _, sub in expand_classes(h):
@@ -92,6 +94,39 @@ def test_k2_e3_one_face_orbits():
                 assert lift_profile(r) == (3, 1)
                 seen += 1
     assert seen == 4
+
+
+def by_id(records, k6, rid):
+    return next(r for r in records if r.id == rid and tf_index(r) == k6)
+
+
+def test_star_orbit_count_on_torsion_records(full_catalog):
+    # the six torsion records whose budget 4 - k - e3 is at least 1
+    assert star_orbit_count(by_id(full_catalog, 6, "3,1-A"), 1) == 2
+    assert star_orbit_count(by_id(full_catalog, 6, "2-A"), 1) == 1
+    k2_e3_one = [r for r in full_catalog
+                 if tf_index(r) == 12 and (r.e2, r.e3) == (0, 1)]
+    assert len(k2_e3_one) == 4
+    assert [star_orbit_count(r, 2) for r in k2_e3_one] == [3, 3, 3, 3]
+
+
+def test_star_orbit_count_without_budget_walks_nothing(
+        monkeypatch, full_catalog):
+    # at budget 0 only the empty star set fits, below it none does, and
+    # neither case decodes or walks the dessin
+    def boom(h):
+        raise AssertionError("the star rule walked a dessin")
+
+    monkeypatch.setattr(lifts, "_automorphism_group", boom)
+    seen = set()
+    for r in full_catalog:
+        k = tf_index(r) // 6
+        budget = 4 - k - r.e3
+        if r.e2 or k == 4 or budget > 0:
+            continue
+        assert star_orbit_count(r, k) == (1 if budget == 0 else 0)
+        seen.add((k, r.e3))
+    assert {(2, 2), (3, 1), (2, 3), (3, 2)} <= seen
 
 
 def test_stratum_six():
@@ -124,7 +159,7 @@ def test_out_of_range():
     except OutOfRange:
         pass
     for bad_call in (lambda: lift_profile(good._replace(tf_code="09")),
-                     lambda: star_orbit_count(good._replace(e3=1), 1)):
+                     lambda: star_orbit_count(good._replace(e2=1), 1)):
         try:
             bad_call()
             assert False

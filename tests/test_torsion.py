@@ -49,12 +49,15 @@ def test_loop_counts():
 def test_loop_sites_are_trivalent():
     for n in (6, 12):
         for h in tf_classes(n):
-            for site in loops(h):
-                assert site.partner == h.alpha[site.fixed_edge]
-                assert site.partner == h.sigma[h.sigma[site.fixed_edge]]
-                assert site.attach == h.sigma[site.fixed_edge]
-                assert len({site.fixed_edge, site.partner, site.attach}) == 3
-                assert site.attach_partner == h.alpha[site.attach]
+            edges = loops(h)
+            assert edges == sorted(edges)
+            for e in edges:
+                partner, attach = h.alpha[e], h.sigma[e]
+                assert h.sigma[partner] == e                 # phi(e) = e
+                assert partner == h.sigma[attach]            # sigma^2(e)
+                assert len({e, partner, attach}) == 3        # a 3-cycle
+                # the 3-cycle hangs off the rest by one alpha pair
+                assert h.alpha[attach] not in (e, partner, attach)
 
 
 def test_substitute_all_keep_is_identity():
