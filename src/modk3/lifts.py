@@ -1,8 +1,9 @@
 """Counting SL(2,Z) lift classes realized by K3 surfaces.
 
-The lift rules key on k = (torsion-free index) / 6 and the torsion
-signature (e2, e3).  Lifts are counted, never materialized as
-matrix groups; star configurations are face subsets up to automorphism.
+One rule, lift_profile, counts the lifts; it keys on k = (torsion-free
+index) / 6 and the torsion signature (e2, e3), all read from the record.
+Lifts are counted, never materialized as matrix groups; star
+configurations are face subsets up to automorphism.
 
 Records are duck-typed: anything with e2, e3, genus, tf_code and
 canonical_code (codes as hex strings) works, so this module does not
@@ -36,34 +37,17 @@ def tf_index(rec):
     return bytes.fromhex(rec.tf_code)[0]
 
 
-def star_orbit_count(rec, k):
-    """Aut-orbits of face subsets S with |S| <= 4 - k - e3 and |S| of the
-    parity of k + e3: the inequivalent ways to place *-fibres on a dessin
-    with e2 = 0 and tf index 6k.  At e3 = 0 the parity comes from
-    12 | (6k + 6 * #stars); each sigma fixed point takes one star of the
-    budget.  Only a budget >= 1 walks: at 0 just the empty set fits."""
-    if rec.e2:
-        raise DomainError("star placement needs e2 = 0")
-    budget = 4 - k - rec.e3
-    if budget <= 0:
-        return 1 if budget == 0 else 0
-    h = _decode(rec)
-    return sum(1 for v in orbit_representatives(
-        _automorphism_group(h), cycles(h.phi()), (0, 1))
-        if sum(v) <= budget and sum(v) % 2 == (k + rec.e3) % 2)
-
-
 def lift_profile(rec):
     """(1:1 count, 2:1 count) of K3-realized lift classes; rec's code
     must be a dessin's, as a read or the record build gives (unchecked).
-    e2 > 0 has only the full preimage (2-torsion forces -I); k = 4 has one
-    lift, counted 1:1 (with e3 > 0 its kind is not pinned down); otherwise
-    the star rule.  Its e3 term agrees with the per-(k, e3) hand table it
-    replaced on all 107 catalog records with e2 = 0 and k < 4 (73 torsion);
-    at k = 2, e3 = 1 it is budget 1 over 3 faces with trivial Aut: 3 orbits.
-    Genus > 0 and tf index > 24 are refused before any walk; only the star
-    rule walks, on records whose budget is >= 1, to Aut and 2^(k+2-e3)
-    face subsets."""
+    k = tf index / 6.  e2 > 0 has only the full preimage (2-torsion forces
+    -I); k = 4 has one lift, counted 1:1 (with e3 > 0 its kind is not
+    pinned down); otherwise the star rule counts the Aut-orbits of face
+    sets S that carry *-fibres, whose Euler number 6k + 6 e3 + 6|S| (a
+    sigma fixed point counts as one star) is <= 24 and a multiple of 12:
+    |S| <= budget = 4 - k - e3, budget - |S| even.  Genus > 0 and tf index
+    > 24 are refused before any walk; only a budget >= 1 walks, to Aut
+    and 2^(k+2-e3) face subsets."""
     if rec.genus > 0:
         raise OutOfRange(f"genus {rec.genus} group is never a K3 monodromy group")
     k6 = tf_index(rec)
@@ -77,7 +61,13 @@ def lift_profile(rec):
         return LiftProfile(0, 1)
     if k == 4:
         return LiftProfile(1, 0)
-    return LiftProfile(star_orbit_count(rec, k), 1)
+    budget = 4 - k - rec.e3
+    if budget <= 0:
+        return LiftProfile(int(budget == 0), 1)
+    h = _decode(rec)
+    return LiftProfile(sum(1 for v in orbit_representatives(
+        _automorphism_group(h), cycles(h.phi()), (0, 1))
+        if sum(v) <= budget and (budget - sum(v)) % 2 == 0), 1)
 
 
 def stored_lifts(rec):

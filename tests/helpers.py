@@ -11,12 +11,14 @@ cycle notation, cycle types, relabelling and white-vertex typing build
 and inspect test dessins; mul, inv and the S/T matrices multiply the
 package's Mat2, and word_perm and member_sign push S/T words through a
 coset action; the Kodaira fibre table and the Euler-number formulas
-check the minimal Euler numbers.  cusp_widths is a validating entry the
-hypermap tests call, class_dessins decodes the search's classes to the
-dessins most tests inspect, and full_catalog builds the whole catalog through
-the commands' own builds, once per session for the conftest fixture.
-None of it is on a path that a command or the benchmark runs, so it
-lives here rather than in modk3.
+check the minimal Euler numbers, and cover_lift_pair re-derives a
+record's stored lift pair from the double cover of its coset action,
+with the Euler numbers of that table.  cusp_widths is a validating
+entry the hypermap tests call, class_dessins decodes the search's
+classes to the dessins most tests inspect, and full_catalog builds the
+whole catalog through the commands' own builds, once per session for
+the conftest fixture.  None of it is on a path that a command or the
+benchmark runs, so it lives here rather than in modk3.
 """
 
 from collections import namedtuple
@@ -449,3 +451,98 @@ def is_monodromy_at(rec, n):
     """Does the group occur as monodromy of a relatively minimal elliptic
     surface with Euler number n?  (n=24 is the K3 case.)"""
     return n % 12 == 0 and rec.genus == 0 and tf_index(rec) <= n
+
+
+# ------------------------------------------------------------ double cover
+#
+# A lift of a group that omits -I is a double cover of its coset action:
+# points (e, +-), with S~^2 = U~^3 = z and z swapping the sheets.  Each
+# sheet bit is an affine GF(2) form (mask, constant) in free variables,
+# bit i of the mask standing for variable i.
+
+def _gf2_rank(masks):
+    """Rank over GF(2) of int bitmasks (one pivot per top bit)."""
+    pivots = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = m
+                break
+            m ^= pivots[top]
+    return len(pivots)
+
+
+def cover_lift_pair(rec):
+    """(1:1, 2:1) counts of the K3-realized lifts of the record's group,
+    from the double cover of its coset action alone: the dessin decoded
+    from the canonical code, no other field and no lift rule of modk3.
+
+    1:1 lifts omit -I.  An alpha fixed point admits no S~ (its square
+    fixes both sheets there, so it is not z), so e2 > 0 has none.  Otherwise each alpha
+    2-cycle carries one sheet bit, each sigma 3-cycle bits of odd sum,
+    and a sigma fixed point bit 1 (U~^3 = z there, so the group holds the
+    order-3 U~^2: a IV* fibre).  A cusp of width w is I_w if
+    T~^w = (S~^-1 U~)^w fixes (e, +), else I_w*.  Relabelling the sheets
+    over one edge changes no lift, so the lifts are the 2^(nvars - n + 1)
+    classes of bits; the cusp signs must separate them (else DomainError).
+    The 1:1 count is the number of Aut-orbits of lifts whose Euler number,
+    w per I_w, w + 6 per I_w* and 8 per IV*, is at most 24.
+
+    The 2:1 column, by hand: the full preimage holds -I.  III (e2) or II
+    (e3) fibres carry it at Euler 6k; with no torsion it needs an I0*, so
+    Euler 6k + 6.  It counts 1 when that is at most 24.
+    """
+    h = from_code(bytes.fromhex(rec.canonical_code))
+    n, sigma, alpha = h.n, h.sigma, h.alpha
+    e2 = sum(alpha[e] == e for e in range(n))
+    e3 = sum(sigma[e] == e for e in range(n))
+    full = (n + e2 * kodaira_fibre("III").euler_number
+            + e3 * kodaira_fibre("II").euler_number)
+    if not e2 and not e3:
+        full += kodaira_fibre("I0*").euler_number
+    two_to_one = int(full <= 24)
+    if e2:
+        return (0, two_to_one)
+
+    s_bit = [None] * n      # the S~ step out of (e, s) adds s_bit[e]
+    u_bit = [None] * n      # the U~ step out of (e, s) adds u_bit[e]
+    nvars = 0
+    for x, y in cycles(alpha):
+        s_bit[x], s_bit[y] = (1 << nvars, 0), (1 << nvars, 1)
+        nvars += 1
+    for cyc in cycles(sigma):
+        if len(cyc) == 1:
+            u_bit[cyc[0]] = (0, 1)
+            continue
+        x, y, z = cyc
+        u_bit[x], u_bit[y] = (1 << nvars, 0), (2 << nvars, 0)
+        u_bit[z] = (3 << nvars, 1)
+        nvars += 2
+
+    # T~ = S~^-1 U~: (e, s) -> (t, s + u_bit[e] + s_bit[t]), t = alpha sigma e
+    cusps = cycles(tuple(alpha[sigma[e]] for e in range(n)))
+    signs = []
+    for cusp in cusps:
+        mask = const = 0
+        e = cusp[0]
+        for _ in cusp:
+            um, uc = u_bit[e]
+            e = alpha[sigma[e]]
+            sm, sc = s_bit[e]
+            mask, const = mask ^ um ^ sm, const ^ uc ^ sc
+        signs.append((mask, const))
+    if _gf2_rank(m for m, _ in signs) != nvars - n + 1:
+        raise DomainError("the cusp signs do not separate the lifts")
+
+    lifts = {tuple(c for _, c in signs)}
+    for i in range(nvars):
+        col = tuple(m >> i & 1 for m, _ in signs)
+        lifts |= {tuple(a ^ b for a, b in zip(v, col)) for v in lifts}
+    euler = [(kodaira_fibre("Ib", len(c)).euler_number,
+              kodaira_fibre("Ib*", len(c)).euler_number) for c in cusps]
+    fixed = e3 * kodaira_fibre("IV*").euler_number
+    action = block_action(reference_automorphisms(h), cusps)
+    orbits = {min(tuple(v[j] for j in g) for g in action) for v in lifts
+              if fixed + sum(e[star] for e, star in zip(euler, v)) <= 24}
+    return (len(orbits), two_to_one)

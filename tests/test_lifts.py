@@ -1,17 +1,20 @@
-"""Lift rules (the star rule at budget 4 - k - e3, (0, 1) for e2 > 0,
-(1, 0) at k = 4), star orbits, stratum bookkeeping."""
+"""The one lift rule, lift_profile: the star rule at budget 4 - k - e3
+(its 1:1 count is the star orbits), (0, 1) for e2 > 0, (1, 0) at k = 4;
+the double-cover referee against the stored pairs; stratum bookkeeping."""
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from modk3 import lifts
 from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
 from modk3.hypermap import canonical_code, cycles, subgroup_type
-from modk3.lifts import lift_profile, star_orbit_count, tf_index, totals
+from modk3.lifts import lift_profile, stored_lifts, tf_index, totals
 from modk3.torsion import expand_classes
 
-from helpers import class_dessins, cusp_widths, reference_automorphisms
+from helpers import (
+    class_dessins, cover_lift_pair, cusp_widths, reference_automorphisms,
+)
 
 Rec = namedtuple("Rec", "e2 e3 genus tf_code canonical_code")
 
@@ -42,16 +45,17 @@ def by_widths(n, widths):
 
 
 def test_star_orbit_examples():
-    assert star_orbit_count(rec_of(h := by_widths(12, (3, 3, 3, 3)), h), 2) == 2
-    assert star_orbit_count(rec_of(h := by_widths(6, (2, 2, 2)), h), 1) == 2
-    assert star_orbit_count(rec_of(h := by_widths(6, (4, 1, 1)), h), 1) == 3
+    for n, widths, want in ((12, (3, 3, 3, 3), 2), (6, (2, 2, 2), 2),
+                            (6, (4, 1, 1), 3)):
+        h = by_widths(n, widths)
+        assert lift_profile(rec_of(h, h)).one_to_one == want
 
 
 def test_star_orbits_index_twelve_row():
     want = {(3, 3, 3, 3): 2, (4, 4, 2, 2): 4, (5, 5, 1, 1): 5,
             (6, 3, 2, 1): 7, (8, 2, 1, 1): 5, (9, 1, 1, 1): 3}
     for h in tf_classes(12):
-        assert star_orbit_count(rec_of(h, h), 2) == want[cusp_widths(h)]
+        assert lift_profile(rec_of(h, h)).one_to_one == want[cusp_widths(h)]
 
 
 def test_lift_profile_examples():
@@ -102,12 +106,12 @@ def by_id(records, k6, rid):
 
 def test_star_orbit_count_on_torsion_records(full_catalog):
     # the six torsion records whose budget 4 - k - e3 is at least 1
-    assert star_orbit_count(by_id(full_catalog, 6, "3,1-A"), 1) == 2
-    assert star_orbit_count(by_id(full_catalog, 6, "2-A"), 1) == 1
+    assert lift_profile(by_id(full_catalog, 6, "3,1-A")).one_to_one == 2
+    assert lift_profile(by_id(full_catalog, 6, "2-A")).one_to_one == 1
     k2_e3_one = [r for r in full_catalog
                  if tf_index(r) == 12 and (r.e2, r.e3) == (0, 1)]
     assert len(k2_e3_one) == 4
-    assert [star_orbit_count(r, 2) for r in k2_e3_one] == [3, 3, 3, 3]
+    assert [lift_profile(r).one_to_one for r in k2_e3_one] == [3, 3, 3, 3]
 
 
 def test_star_orbit_count_without_budget_walks_nothing(
@@ -124,9 +128,29 @@ def test_star_orbit_count_without_budget_walks_nothing(
         budget = 4 - k - r.e3
         if r.e2 or k == 4 or budget > 0:
             continue
-        assert star_orbit_count(r, k) == (1 if budget == 0 else 0)
+        assert lift_profile(r).one_to_one == (1 if budget == 0 else 0)
         seen.add((k, r.e3))
     assert {(2, 2), (3, 1), (2, 3), (3, 2)} <= seen
+
+
+def test_the_double_cover_gives_the_stored_lift_pairs(full_catalog):
+    # the cover and the stored pair part only at tf index 24 with e2 = 0
+    # and e3 >= 1: a lift without -I holds a IV* at each sigma fixed point,
+    # so its Euler number 24 + 6 e3 exceeds 24 and the cover gives (0, 1),
+    # where lift_profile counts the one lift as 1:1.  Which split is right
+    # is an open decision in ROADMAP.md; until then these 720 are counted.
+    agree, open_split, other = 0, Counter(), []
+    for r in full_catalog:
+        cover, stored = cover_lift_pair(r), stored_lifts(r)
+        if cover == stored:
+            agree += 1
+        elif (tf_index(r), r.e2, cover, stored) == (24, 0, (0, 1), (1, 0)):
+            open_split[r.e3] += 1
+        else:
+            other.append((tf_index(r), r.id, cover, stored))
+    assert other == []
+    assert agree == 2508
+    assert open_split == {1: 336, 2: 270, 3: 94, 4: 19, 5: 1}
 
 
 def test_stratum_six():
@@ -158,13 +182,11 @@ def test_out_of_range():
         assert False
     except OutOfRange:
         pass
-    for bad_call in (lambda: lift_profile(good._replace(tf_code="09")),
-                     lambda: star_orbit_count(good._replace(e2=1), 1)):
-        try:
-            bad_call()
-            assert False
-        except DomainError:
-            pass
+    try:
+        lift_profile(good._replace(tf_code="09"))
+        assert False
+    except DomainError:
+        pass
 
 
 def test_totals_rejects_foreign_records():
