@@ -2,12 +2,16 @@
 
 One JSON object per line, fields in a fixed order, values all derivable
 from the canonical code -- the rest of the record is denormalized for
-grep-ability.  Every command reads through read_records, which checks
-each stored field against its code, lift counts included: the code is
-proved canonical against its own bytes, the rest is derived as the record
-build derives it and compared.  A torsion record's tf code is checked by
-an isomorphism test against its retraction, and each distinct code, own
-or tf, is proved canonical once per read.  The reports then read the
+grep-ability.  Every command reads through read_records, which parses
+every line, then checks each stored field against its code, lift counts
+included: the code is proved canonical against its own bytes, the rest is
+derived as the record build derives it and compared.  A torsion record's
+tf code is checked by an isomorphism test against its retraction, and
+each distinct code, own or tf, is proved canonical once per part of the
+read.  A read of SPLIT_MIN records or more is checked in two parts at
+once, the second by a child forked from the command's process (Linux
+os.fork), so the command's peak RSS includes its child's; the earliest
+faulty line is named as in a one-part read.  The reports then read the
 stored lift counts, which the read has proved.  Records of one
 read_records, enumerate_records or expand_records call share equal
 repeated values through one table, a local of that call.
@@ -18,6 +22,7 @@ through this module.
 """
 
 import json
+import os
 from collections import namedtuple
 
 from .errors import (
@@ -198,7 +203,8 @@ def validate_record(rec, shared, proved):
     retraction (_checked_tf_code).  proved, the read's {hex code: |Aut|}
     of the codes proved canonical so far, spares a code found there its
     proof and gains a torsion-free record's code, so each distinct code is
-    proved once per read; shared is the read's table of repeated values.
+    proved once per part of a read (see _first_failure); shared is the
+    read's table of repeated values.
     A record that stores any lift count must store the pair the lift rules
     give, so counts on a class outside the K3 range are refused too.
     """
@@ -232,44 +238,134 @@ def validate_record(rec, shared, proved):
     return rec
 
 
+# the fewest parsed records that read_records validates in two processes:
+# the measured break-even, where the half of the validation a child takes
+# over outweighs the fork, the pipe, the reap and the copy-on-write faults
+SPLIT_MIN = 256
+
+
+def _first_failure(records, linenos, shared):
+    """The ValidationError of the first record of a part of a read that
+    validate_record refuses, its line named, or None if it takes them all.
+
+    linenos holds each record's line.  The part keeps its own table proved
+    (see validate_record), so each distinct code is proved once per part;
+    shared is the read's table of repeated values.
+    """
+    proved = {}
+    for rec, lineno in zip(records, linenos):
+        try:
+            validate_record(rec, shared, proved)
+        except ValidationError as exc:
+            return ValidationError(f"line {lineno}: {exc}")
+    return None
+
+
+def _forked_first_failure(records, linenos, shared):
+    """_first_failure of the whole read, its second half checked by a
+    forked child while this process checks the first.
+
+    The child pickles its part's ValidationError into a pipe, or writes
+    nothing if its part passes, and ends with os._exit(0): it runs no exit
+    handler and flushes no buffer of this process's.  The first half's
+    failure wins, as the earlier line; a child that ends any other way
+    gave no result and is an OSError.  Whatever this process raises, the
+    child is killed and reaped first.  pickle and signal are imported only
+    when they are used.
+    """
+    mid = len(records) // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            failure = _first_failure(records[mid:], linenos[mid:], shared)
+            if failure is not None:
+                import pickle
+                with open(write_end, "wb") as out:
+                    out.write(pickle.dumps(failure))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    data = None
+    try:
+        with open(read_end, "rb") as result:
+            failure = _first_failure(records[:mid], linenos[:mid], shared)
+            if failure is None:
+                data = result.read()
+    finally:
+        if data is None:                 # this process failed or was stopped
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if failure is not None:
+        return failure
+    if status:
+        raise OSError(f"the child process validating lines {linenos[mid]} "
+                      f"to {linenos[-1]} gave no result (wait status {status})")
+    if data:
+        import pickle
+        return pickle.loads(data)
+    return None
+
+
 def read_records(path):
     """Parse and validate a JSONL catalog, the one read path of every command.
 
     The work is linear in the lines, each record O(n x candidate roots)
-    with n <= 255.  Blank lines are skipped.  A line that is not JSON (too
+    with n <= 255.  The read parses every line first, then validates the
+    records parsed.  Blank lines are skipped.  A line that is not JSON (too
     deeply nested or holding an integer past the digit limit included), an
-    unknown field
-    or a canonical code already seen on an earlier line is a ParseError; a
-    record that validate_record refuses is a ValidationError; both name
-    the line.  Two tables, locals of this call, serve the whole read:
-    proved maps each code proved canonical to its |Aut|, so each distinct
-    code is proved once, and through shared the records share one object
-    of each equal tf_code, cusp_widths and assignment.
+    unknown field or a canonical code already seen on an earlier line is a
+    ParseError, and the parse stops there; a record that validate_record
+    refuses is a ValidationError; both name the line.  The earliest faulty
+    line wins: the records before a parse error are validated, and their
+    first refusal is raised before it.  Through shared, a local of this
+    call, the records share one object of each equal tf_code, cusp_widths
+    and assignment.
+
+    A read of SPLIT_MIN records or more validates its second half in a
+    child forked from this process (Linux os.fork; the caller must run no
+    other thread), so a command's peak RSS is the larger of its own and
+    its child's.  Each half keeps its own table of the codes proved
+    canonical (see _first_failure).  The records returned are this
+    process's own parse.
     """
-    records = []
+    records, linenos = [], []
     first_line = {}
     shared = {}
-    proved = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # a JSONDecodeError is a ValueError, and so is an integer
-                # past the interpreter's digit limit; deep nesting recurses
-                raise ParseError(f"line {lineno}: invalid JSON "
-                                 f"({getattr(exc, 'msg', exc)})")
-            rec = _parse_record(obj, lineno, shared)
-            first = first_line.setdefault(rec.canonical_code, lineno)
-            if first != lineno:
-                raise ParseError(f"line {lineno}: canonical_code repeats line {first}")
-            try:
-                validate_record(rec, shared, proved)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}")
-            records.append(rec)
+    held = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    # a JSONDecodeError is a ValueError, and so is an integer
+                    # past the interpreter's digit limit; deep nesting recurses
+                    raise ParseError(f"line {lineno}: invalid JSON "
+                                     f"({getattr(exc, 'msg', exc)})")
+                rec = _parse_record(obj, lineno, shared)
+                first = first_line.setdefault(rec.canonical_code, lineno)
+                if first != lineno:
+                    raise ParseError(
+                        f"line {lineno}: canonical_code repeats line {first}")
+                records.append(rec)
+                linenos.append(lineno)
+    except (ParseError, ValueError, OSError) as exc:
+        held = exc                       # a decode error is a ValueError
+    if len(records) < SPLIT_MIN:
+        failure = _first_failure(records, linenos, shared)
+    else:
+        failure = _forked_first_failure(records, linenos, shared)
+    if failure is None:
+        failure = held
+    if failure is not None:
+        raise failure
     return records
 
 

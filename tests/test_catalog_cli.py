@@ -5,11 +5,14 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -491,23 +494,32 @@ def test_only_star_orbit_lift_rules_call_automorphism_group(
     # star orbits at a budget 4 - k - e3 >= 1: the 2 + 6 + 26 tf records
     # at k < 4 and the torsion records 3,1-A, 2-A and the four with k = 2,
     # e3 = 1; every namespace that binds the unchecked body counts, and
-    # the public name (torsion's) calls hypermap's
-    calls = []
+    # the public name (torsion's) calls hypermap's.  A split read calls it
+    # in its forked child too, so each call appends a line to a file
+    log = tmp_path / "calls.txt"
     group = hypermap._automorphism_group
+
+    def counted(h):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return group(h)
+
+    def calls():
+        return len(log.read_text(encoding="utf-8").splitlines())
+
     for module in (hypermap, reports, lifts):
-        monkeypatch.setattr(module, "_automorphism_group",
-                            lambda h: calls.append(h) or group(h))
+        monkeypatch.setattr(module, "_automorphism_group", counted)
     path = tmp_path / "k6_lifts.jsonl"
     catalog.write_records(path, k6_records())
-    del calls[:]
+    log.write_text("", encoding="utf-8")
     assert len(catalog.read_records(path)) == 6
-    assert len(calls) == 4
-    del calls[:]
+    assert calls() == 4
+    log.write_text("", encoding="utf-8")
     assert len(catalog.enumerate_records(12)) == 80
-    assert calls == []
+    assert calls() == 0
     catalog.write_records(path, full_catalog)
     assert len(catalog.read_records(path)) == 3228
-    assert len(calls) == 40
+    assert calls() == 40
 
 
 def count_validate_calls(monkeypatch):
@@ -852,6 +864,137 @@ def test_read_rejects_a_repeated_code(tmp_path):
         status, err = run_cli(argv + ["--in", str(path)])
         assert (status, err) == (
             1, "error: ParseError: line 7: canonical_code repeats line 1\n")
+
+
+def read_error(path):
+    """(type name, text) of what read_records raises on path."""
+    try:
+        catalog.read_records(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError(f"{path} was accepted")
+
+
+def with_a_wrong_lift(line):
+    """The JSON line of a record with its 1:1 lift count off by 3."""
+    obj = json.loads(line)
+    obj["lift_one_to_one"] += 3
+    return json.dumps(obj)
+
+
+def test_a_split_read_raises_what_a_one_part_read_raises(
+        tmp_path, monkeypatch, full_catalog):
+    # a read of SPLIT_MIN records or more validates the second half of the
+    # records it parsed in a forked child, and the earliest faulty line
+    # still wins: a fault in either half, one in each, and a parse error
+    # after or before a refused record, in either half.  The reference is
+    # the same file read in one part
+    lines = [catalog.record_to_json(r) for r in full_catalog]
+    assert len(lines) >= catalog.SPLIT_MIN
+
+    def lie(i):
+        return with_a_wrong_lift(lines[i])
+
+    def cut(i):
+        return lines[i][:-1]
+
+    def repeat(i):
+        return lines[0]
+
+    early, late, mid = 500, len(lines) - 200, len(lines) // 2 + 100
+    cases = [({early: lie}, "ValidationError", early),
+             ({late: lie}, "ValidationError", late),
+             ({early: lie, late: lie}, "ValidationError", early),
+             ({early: lie, late: cut}, "ValidationError", early),
+             ({early: lie, late: repeat}, "ValidationError", early),
+             ({mid: lie, late: cut}, "ValidationError", mid),
+             ({early: cut, late: lie}, "ParseError", early),
+             ({early: repeat, late: lie}, "ParseError", early),
+             ({mid: repeat}, "ParseError", mid)]
+    splits = []
+    forked = catalog._forked_first_failure
+    monkeypatch.setattr(catalog, "_forked_first_failure",
+                        lambda recs, *args: splits.append(len(recs))
+                        or forked(recs, *args))
+    path = tmp_path / "tampered.jsonl"
+    for faults, kind, i in cases:
+        tampered = list(lines)
+        for j, fault in faults.items():
+            tampered[j] = fault(j)
+        path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        del splits[:]
+        got = read_error(path)
+        parsed = min((j for j, f in faults.items() if f is not lie),
+                     default=len(lines))
+        assert splits == [parsed], faults
+        assert got[0] == kind and got[1].startswith(f"line {i + 1}: "), got
+        with monkeypatch.context() as one_part:
+            one_part.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
+            assert read_error(path) == got
+        assert len(splits) == 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    recs = catalog.read_records(path)
+    monkeypatch.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
+    assert [r._asdict() for r in recs] == [
+        r._asdict() for r in catalog.read_records(path)]
+
+
+def assert_no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a read left a child process")
+
+
+def test_a_split_read_leaves_no_child_and_needs_its_result(
+        tmp_path, monkeypatch, full_catalog):
+    # a passing read, one the parent's half refuses (the child is killed)
+    # and one the child's half refuses each reap the child.  A child that
+    # ends before it writes its result fails the read with an OSError, one
+    # CLI error line; and the child flushes nothing of the command's output
+    path = tmp_path / "full.jsonl"
+    lines = [catalog.record_to_json(r) for r in full_catalog]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(catalog.read_records(path)) == len(lines)
+    assert_no_child_left()
+    for i in (10, len(lines) - 10):
+        tampered = list(lines)
+        tampered[i] = with_a_wrong_lift(lines[i])
+        path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        kind, text = read_error(path)
+        assert kind == "ValidationError" and text.startswith(f"line {i + 1}: ")
+        assert_no_child_left()
+    catalog.write_records(path, full_catalog)
+    table = "".join(line + "\n" for line in reports.REPORTS["totals"](
+        full_catalog))
+    src = str(Path(modk3.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "modk3.cli", "report", "--in", str(path),
+         "--table", "totals"], cwd=src, capture_output=True, text=True,
+        timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, table, "")
+
+    parent, part = os.getpid(), catalog._first_failure
+
+    def exit_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return part(*args)
+
+    monkeypatch.setattr(catalog, "_first_failure", exit_in_the_child)
+    try:
+        catalog.read_records(path)
+        assert False, "a read whose child gave no result was accepted"
+    except OSError as exc:
+        assert "no result" in str(exc), exc
+    assert_no_child_left()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(["report", "--in", str(path), "--table", "totals"])
+    assert (status, out.getvalue()) == (1, "")
+    assert re.fullmatch(r"error: OSError: .*no result.*\n", err.getvalue())
+    assert_no_child_left()
 
 
 def test_a_read_keeps_one_copy_of_each_repeated_value(tmp_path, full_catalog):

@@ -39,10 +39,14 @@ def test_cli_start_loads_only_what_every_command_needs():
     # every command that runs loads the CLI and the catalog; the matrix
     # words and the closed-form counts are imported by the commands that
     # use them, and the records are named tuples, since dataclasses pulls
-    # in inspect, ast and dis
+    # in inspect, ast and dis.  A large read forks with os alone; it
+    # imports pickle only to send a refusal from its child and signal
+    # only to kill it, so a read that passes loads neither
     code = ("import sys, modk3.cli, modk3.catalog\n"
             "for name in ('fractions', 'decimal', 'dataclasses', 'inspect',\n"
-            "             'modk3.slwords', 'modk3.counts'):\n"
+            "             'modk3.slwords', 'modk3.counts', 'pickle', 'signal',\n"
+            "             'multiprocessing', 'concurrent.futures',\n"
+            "             'subprocess'):\n"
             "    if name in sys.modules:\n"
             "        print(name)\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
