@@ -10,8 +10,10 @@ tf code is checked by an isomorphism test against its retraction, and
 each distinct code, own or tf, is proved canonical once per part of the
 read.  A read of SPLIT_MIN records or more is checked in two parts at
 once, the second by a child forked from the command's process (Linux
-os.fork), so the command's peak RSS includes its child's; the earliest
-faulty line is named as in a one-part read.  The reports then read the
+os.fork), so the command's peak RSS includes its child's.  The child
+answers by its exit status alone, whether its half passed, and the
+command checks any half the child did not pass itself, so a split read
+returns or raises what a one-part read does.  The reports then read the
 stored lift counts, which the read has proved.  Records of one
 read_records, enumerate_records or expand_records call share equal
 repeated values through one table, a local of that call.
@@ -240,7 +242,7 @@ def validate_record(rec, shared, proved):
 
 # the fewest parsed records that read_records validates in two processes:
 # the measured break-even, where the half of the validation a child takes
-# over outweighs the fork, the pipe, the reap and the copy-on-write faults
+# over outweighs the fork, the reap and the copy-on-write faults
 SPLIT_MIN = 256
 
 
@@ -265,50 +267,37 @@ def _forked_first_failure(records, linenos, shared):
     """_first_failure of the whole read, its second half checked by a
     forked child while this process checks the first.
 
-    The child pickles its part's ValidationError into a pipe, or writes
-    nothing if its part passes, and ends with os._exit(0): it runs no exit
-    handler and flushes no buffer of this process's.  The first half's
-    failure wins, as the earlier line; a child that ends any other way
-    gave no result and is an OSError.  Whatever this process raises, the
-    child is killed and reaped first.  pickle and signal are imported only
-    when they are used.
+    The child's exit status is its whole answer, 0 if its half passes;
+    it ends with os._exit, so it runs no exit handler and flushes no
+    buffer of this process's.  Once the first half passes, this process
+    reaps the child and on any other status (a refusal, a crash, a
+    signal) validates the second half itself: the first half's failure
+    wins, as the earlier line, and the result is a one-part read's.  A
+    child this process stops waiting for, as it fails or raises, is
+    killed and reaped first; signal is imported only then.
     """
     mid = len(records) // 2
-    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
-            failure = _first_failure(records[mid:], linenos[mid:], shared)
-            if failure is not None:
-                import pickle
-                with open(write_end, "wb") as out:
-                    out.write(pickle.dumps(failure))
-            status = 0
+            if _first_failure(records[mid:], linenos[mid:], shared) is None:
+                status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    data = None
+    status = None
     try:
-        with open(read_end, "rb") as result:
-            failure = _first_failure(records[:mid], linenos[:mid], shared)
-            if failure is None:
-                data = result.read()
+        failure = _first_failure(records[:mid], linenos[:mid], shared)
+        if failure is None:
+            status = os.waitpid(pid, 0)[1]
     finally:
-        if data is None:                 # this process failed or was stopped
+        if status is None:               # this process failed or stopped
             import signal
             os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if failure is not None:
-        return failure
-    if status:
-        raise OSError(f"the child process validating lines {linenos[mid]} "
-                      f"to {linenos[-1]} gave no result (wait status {status})")
-    if data:
-        import pickle
-        return pickle.loads(data)
-    return None
+            os.waitpid(pid, 0)
+    if failure is None and status:
+        failure = _first_failure(records[mid:], linenos[mid:], shared)
+    return failure
 
 
 def read_records(path):
@@ -329,9 +318,11 @@ def read_records(path):
     A read of SPLIT_MIN records or more validates its second half in a
     child forked from this process (Linux os.fork; the caller must run no
     other thread), so a command's peak RSS is the larger of its own and
-    its child's.  Each half keeps its own table of the codes proved
-    canonical (see _first_failure).  The records returned are this
-    process's own parse.
+    its child's.  The child only says whether its half passed; a half it
+    did not pass is validated again here (see _forked_first_failure), so
+    the read returns or raises what a one-part read does.  Each half keeps
+    its own table of the codes proved canonical (see _first_failure).  The
+    records returned are this process's own parse.
     """
     records, linenos = [], []
     first_line = {}

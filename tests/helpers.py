@@ -1,8 +1,11 @@
 """Reference code that only the tests use.
 
-The brute-force oracle and the rooted counts cross-check the search, and
-reference_automorphisms (every image of edge 0 tried through _extend_map)
-cross-checks the automorphism group that the canonical walk gives;
+The brute-force oracle, the rooted counts and the closed-form counts by
+torsion type (Hall's recursion by fixed points, subgroup_counts_by_type,
+and Mednykh's class count over it, class_counts_by_type) cross-check the
+search, and reference_automorphisms (every image of edge 0 tried
+through _extend_map) cross-checks the automorphism group that the
+canonical walk gives;
 burnside_count counts Aut-orbits of assignments independently of the
 orbit_representatives listing that expansion and the k24 report use, on
 the action that block_action builds from the automorphisms and the
@@ -22,7 +25,7 @@ benchmark runs, so it lives here rather than in modk3.
 """
 
 from collections import namedtuple
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, perm, prod
 
 from modk3 import catalog
 from modk3.errors import DomainError, ResourceBound
@@ -242,6 +245,110 @@ def tf_class_count(n, quotients):
     if total % n:
         raise DomainError(f"Burnside sum {total} is not a multiple of {n}")
     return total // n
+
+
+def _fixed_point_polys(k, n):
+    """[P_0, ..., P_n]: P_m[j] counts the x in S_m with x^k = 1 (k prime)
+    and j fixed points.  Point m is fixed, or lies on a k-cycle whose
+    other k - 1 points are an ordered choice from the other m - 1."""
+    out = [{0: 1}]
+    for m in range(1, n + 1):
+        poly = {j + 1: c for j, c in out[m - 1].items()}
+        if m >= k:
+            for j, c in out[m - k].items():
+                poly[j] = poly.get(j, 0) + perm(m - 1, k - 1) * c
+        out.append(poly)
+    return out
+
+
+def subgroup_counts_by_type(n):
+    """[{(e2, e3): subgroups}] for the indices 1..n: Hall's recursion of
+    modk3.counts run over polynomials that mark the alpha and sigma fixed
+    points, which an action's orbits add up."""
+    two, three = _fixed_point_polys(2, n), _fixed_point_polys(3, n)
+    h = [{(i, j): a * b for i, a in two[m].items() for j, b in three[m].items()}
+         for m in range(n + 1)]
+    t = [None]
+    for m in range(1, n + 1):
+        poly = dict(h[m])
+        for k in range(1, m):
+            for (i, j), a in t[k].items():
+                a *= comb(m - 1, k - 1)
+                for (i2, j2), b in h[m - k].items():
+                    key = (i + i2, j + j2)
+                    poly[key] = poly.get(key, 0) - a * b
+        t.append(poly)
+    out = []
+    for m in range(1, n + 1):
+        counts = {}
+        for key, c in t[m].items():
+            q, rem = divmod(c, factorial(m - 1))
+            if rem:
+                raise DomainError(f"{c} transitive actions of index {m} "
+                                  f"are not a multiple of ({m} - 1)!")
+            if q:
+                counts[key] = q
+        out.append(counts)
+    return out
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _mobius(n):
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def class_counts_by_type(n):
+    """{(e2, e3): classes} of the subgroups of index n, by Mednykh's
+    formula c_n = (1/n) sum over lm = n of sum over [Gamma : K] = m of
+    |Epi(K, Z_l)| (J. Algebra 320, 2008), in integers.
+
+    K of type (e2, e3) is Z/2^{*e2} * Z/3^{*e3} * F_r, 6r = 6 + m - 3 e2
+    - 4 e3.  An epi that kills a2 of its Z/2 factors and a3 of its Z/3
+    factors has a kernel of type (l a2, l a3): a killed factor fixes all
+    l cosets of the kernel in K, any other none.  Its homs into Z_d kill
+    the same factors when each other Z/2 goes to d/2 (d even) and each
+    other Z/3 to d/3 or 2d/3 (3 | d), and the epis onto Z_l follow by
+    Moebius inversion over d | l.
+    """
+    subgroups = subgroup_counts_by_type(n)
+    total = {}
+    for ell in _divisors(n):
+        m = n // ell
+        for (e2, e3), count in subgroups[m - 1].items():
+            r, rem = divmod(6 + m - 3 * e2 - 4 * e3, 6)
+            if rem or r < 0:
+                raise DomainError(f"no free rank for type ({e2}, {e3}) "
+                                  f"at index {m}")
+            for a2 in range(e2 + 1):
+                for a3 in range(e3 + 1):
+                    u2, u3 = e2 - a2, e3 - a3
+                    epis = sum(_mobius(ell // d) * 2 ** u3 * d ** r
+                               for d in _divisors(ell)
+                               if (d % 2 == 0 or not u2)
+                               and (d % 3 == 0 or not u3))
+                    key = (ell * a2, ell * a3)
+                    total[key] = total.get(key, 0) + (
+                        count * comb(e2, a2) * comb(e3, a3) * epis)
+    out = {}
+    for key, c in total.items():
+        q, rem = divmod(c, n)
+        if rem:
+            raise DomainError(f"Mednykh sum {c} of type {key} is not a "
+                              f"multiple of {n}")
+        if q:
+            out[key] = q
+    return out
 
 
 def search_leaf_count(index, *, genus=None, torsion_free=False):

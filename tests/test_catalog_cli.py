@@ -8,8 +8,10 @@ import json
 import os
 import pkgutil
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -882,13 +884,29 @@ def with_a_wrong_lift(line):
     return json.dumps(obj)
 
 
+def exit_early_in_the_child(monkeypatch):
+    """Make a split read's child end with os._exit(3) before it answers;
+    returns the list of the sizes of the parts this process validates."""
+    parent, part, parts = os.getpid(), catalog._first_failure, []
+
+    def first_failure(records, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        parts.append(len(records))
+        return part(records, *args)
+
+    monkeypatch.setattr(catalog, "_first_failure", first_failure)
+    return parts
+
+
 def test_a_split_read_raises_what_a_one_part_read_raises(
         tmp_path, monkeypatch, full_catalog):
     # a read of SPLIT_MIN records or more validates the second half of the
     # records it parsed in a forked child, and the earliest faulty line
     # still wins: a fault in either half, one in each, and a parse error
     # after or before a refused record, in either half.  The reference is
-    # the same file read in one part
+    # the same file read in one part; a child that ends before it answers
+    # changes nothing, since this process then checks its half itself
     lines = [catalog.record_to_json(r) for r in full_catalog]
     assert len(lines) >= catalog.SPLIT_MIN
 
@@ -932,6 +950,11 @@ def test_a_split_read_raises_what_a_one_part_read_raises(
             one_part.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
             assert read_error(path) == got
         assert len(splits) == 1
+        with monkeypatch.context() as early_exit:
+            exit_early_in_the_child(early_exit)
+            assert read_error(path) == got, faults
+        assert splits == [parsed, parsed]
+        assert_no_child_left()
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     recs = catalog.read_records(path)
     monkeypatch.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
@@ -947,12 +970,13 @@ def assert_no_child_left():
     raise AssertionError("a read left a child process")
 
 
-def test_a_split_read_leaves_no_child_and_needs_its_result(
+def test_a_split_read_leaves_no_child_and_checks_what_its_child_did_not_pass(
         tmp_path, monkeypatch, full_catalog):
     # a passing read, one the parent's half refuses (the child is killed)
-    # and one the child's half refuses each reap the child.  A child that
-    # ends before it writes its result fails the read with an OSError, one
-    # CLI error line; and the child flushes nothing of the command's output
+    # and one the child's half refuses each reap the child, which flushes
+    # nothing of the command's output.  A child that ends before it
+    # answers costs the read only time: this process validates the second
+    # half itself and returns or raises what a one-part read does
     path = tmp_path / "full.jsonl"
     lines = [catalog.record_to_json(r) for r in full_catalog]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -975,25 +999,57 @@ def test_a_split_read_leaves_no_child_and_needs_its_result(
         timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, table, "")
 
-    parent, part = os.getpid(), catalog._first_failure
-
-    def exit_in_the_child(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return part(*args)
-
-    monkeypatch.setattr(catalog, "_first_failure", exit_in_the_child)
-    try:
-        catalog.read_records(path)
-        assert False, "a read whose child gave no result was accepted"
-    except OSError as exc:
-        assert "no result" in str(exc), exc
+    with monkeypatch.context() as one_part:
+        one_part.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
+        want = [r._asdict() for r in catalog.read_records(path)]
+    parts = exit_early_in_the_child(monkeypatch)
+    assert [r._asdict() for r in catalog.read_records(path)] == want
+    half = len(lines) // 2
+    assert parts == [half, len(lines) - half]
     assert_no_child_left()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = cli.main(["report", "--in", str(path), "--table", "totals"])
-    assert (status, out.getvalue()) == (1, "")
-    assert re.fullmatch(r"error: OSError: .*no result.*\n", err.getvalue())
+    assert (status, out.getvalue(), err.getvalue()) == (0, table, "")
+    assert_no_child_left()
+    tampered = list(lines)
+    tampered[len(lines) - 10] = with_a_wrong_lift(lines[len(lines) - 10])
+    path.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+    got = read_error(path)
+    assert_no_child_left()
+    monkeypatch.setattr(catalog, "SPLIT_MIN", len(lines) + 1)
+    assert got == read_error(path)
+    assert got[0] == "ValidationError", got
+
+
+def test_a_split_read_kills_its_child_when_this_process_raises(
+        tmp_path, monkeypatch, full_catalog):
+    # an error in this process's half stops the wait: the child, which
+    # would otherwise validate for a minute, is killed and reaped before
+    # the error leaves the read
+    path = tmp_path / "full.jsonl"
+    catalog.write_records(path, full_catalog)
+    parent, statuses = os.getpid(), []
+    waitpid = os.waitpid
+
+    def broken_half(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            os._exit(0)
+        raise RuntimeError("this process's half broke")
+
+    monkeypatch.setattr(catalog, "_first_failure", broken_half)
+    monkeypatch.setattr(os, "waitpid", lambda *args: statuses.append(
+        waitpid(*args)) or statuses[-1])
+    start = time.monotonic()
+    try:
+        catalog.read_records(path)
+        assert False, "a read whose own half raised returned"
+    except RuntimeError as exc:
+        assert str(exc) == "this process's half broke"
+    assert time.monotonic() - start < 30
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0][1])
+    assert os.WTERMSIG(statuses[0][1]) == signal.SIGKILL
     assert_no_child_left()
 
 

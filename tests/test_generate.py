@@ -1,19 +1,20 @@
 """Search vs. oracle, known small counts, constraint handling."""
 
 import inspect
+from collections import Counter
 
 from modk3 import catalog, generate
 from modk3.counts import subgroup_counts
 from modk3.errors import DomainError, ResourceBound
 from modk3.generate import _classes_at, enumerate_classes
 from modk3.hypermap import (
-    automorphism_group, canonical_code, canonical_form, from_code,
-    subgroup_type, validate,
+    _face_walk, automorphism_group, canonical_code, canonical_form,
+    from_code, subgroup_type, validate,
 )
 
 from helpers import (
-    brute_force_oracle, class_dessins, cusp_widths, rooted_count,
-    search_leaf_count, tf_class_count,
+    brute_force_oracle, class_counts_by_type, class_dessins, cusp_widths,
+    rooted_count, search_leaf_count, subgroup_counts_by_type, tf_class_count,
 )
 
 
@@ -159,6 +160,20 @@ def test_tf_class_counts_follow_from_enumerated_quotients():
             quotients.append((m, t.h, t.e2, t.e3, len(automorphism_group(h))))
     for n, want in TF_CLASSES.items():
         assert tf_class_count(n, quotients) == want, n
+
+
+def test_class_counts_by_torsion_type_follow_from_mednykh():
+    # Mednykh's formula over Hall's subgroup counts by type counts the
+    # classes of each index and torsion type from outside the search,
+    # past the brute-force oracle's ORACLE_MAX; the refined recursion sums
+    # to Hall's counts, and its type (0, 0) is the torsion-free count
+    by_type = subgroup_counts_by_type(17)
+    assert [sum(c.values()) for c in by_type] == subgroup_counts(17)
+    assert [c.get((0, 0), 0) for c in by_type] == subgroup_counts(17, True)
+    for n in range(1, 18):
+        search = Counter(_face_walk(from_code(code))[1:]
+                         for code, _ in enumerate_classes(n))
+        assert class_counts_by_type(n) == search, n
 
 
 def test_genus_filter_agrees_with_the_type_of_each_class():

@@ -35,13 +35,23 @@ def test_no_empty_module_containers():
     assert out.stdout == ""
 
 
-def test_cli_start_loads_only_what_every_command_needs():
+# a script that runs the command sys.argv[2:] and then writes the names
+# of the modules loaded to the file sys.argv[1]
+_RUN_AND_LIST = ("import sys\n"
+                 "from modk3 import cli\n"
+                 "status = cli.main(sys.argv[2:])\n"
+                 "with open(sys.argv[1], 'w') as fh:\n"
+                 "    fh.write(' '.join(sys.modules))\n"
+                 "sys.exit(status)\n")
+
+
+def test_cli_start_loads_only_what_every_command_needs(tmp_path, full_catalog):
     # every command that runs loads the CLI and the catalog; the matrix
     # words and the closed-form counts are imported by the commands that
     # use them, and the records are named tuples, since dataclasses pulls
-    # in inspect, ast and dis.  A large read forks with os alone; it
-    # imports pickle only to send a refusal from its child and signal
-    # only to kill it, so a read that passes loads neither
+    # in inspect, ast and dis.  A large read forks with os alone and its
+    # child answers by its exit status, so no command loads pickle; signal
+    # is imported only to kill a child that the read stops waiting for
     code = ("import sys, modk3.cli, modk3.catalog\n"
             "for name in ('fractions', 'decimal', 'dataclasses', 'inspect',\n"
             "             'modk3.slwords', 'modk3.counts', 'pickle', 'signal',\n"
@@ -53,6 +63,45 @@ def test_cli_start_loads_only_what_every_command_needs():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ""
+
+    # each command in its own process, on small inputs and on a split read
+    # of the whole catalog, against what a bare interpreter start loads
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, timeout=60).stdout.split()
+    tf6, k6, dot, full = (str(tmp_path / name) for name in (
+        "tf6.jsonl", "k6.jsonl", "g.dot", "full.jsonl"))
+    catalog.write_records(full, full_catalog)
+    assert len(full_catalog) >= catalog.SPLIT_MIN
+    commands = {
+        "enumerate": ["enumerate", "--index", "6", "--torsion-free",
+                      "--genus", "0", "--out", tf6],
+        "expand": ["expand", "--in", tf6, "--out", k6],
+        "lifts": ["lifts", "--in", k6, "--out", k6],
+        "report k6": ["report", "--in", k6, "--table", "k6"],
+        "report totals": ["report", "--in", full, "--table", "totals"],
+        "export-dot": ["export-dot", "--in", k6, "--id", "4,1,1-A",
+                       "--out", dot],
+        "verify": ["verify", "--in", k6],
+    }
+    listing = tmp_path / "modules.txt"
+    loaded = {}
+    for name, argv in commands.items():
+        out = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_LIST, str(listing)] + argv,
+            cwd=SRC, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, (name, out.stderr)
+        loaded[name] = set(listing.read_text(encoding="utf-8").split())
+        loaded[name] -= set(bare)
+    every = {f"modk3.{mod}" for mod in (
+        "catalog", "generate", "hypermap", "lifts", "reports", "torsion")}
+    for name, modules in loaded.items():
+        assert not modules & {"pickle", "multiprocessing", "subprocess"}, name
+        assert modules >= every, name
+    assert [name for name, modules in loaded.items()
+            if "modk3.slwords" in modules] == ["verify"]
+    assert [name for name, modules in loaded.items()
+            if "modk3.counts" in modules] == ["enumerate", "report totals"]
 
 
 def test_cli_help_loads_only_the_cli_and_its_errors():
@@ -277,6 +326,18 @@ def _python_api_block():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Python API", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_python_api_block_runs(tmp_path, monkeypatch, capsys):
+    # the block prints the index-12 tf records, then the stratum's 69 lifts
+    # and the k12 table of the records it wrote and read back
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_python_api_block(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    tf = catalog.enumerate_records(12, genus=0, torsion_free=True)
+    table = catalog.REPORTS["k12"](
+        catalog.add_lift_fields(catalog.expand_records(tf)))
+    assert lines[len(tf):] == ["69"] + list(table)
 
 
 def test_every_public_definition_is_reached():
