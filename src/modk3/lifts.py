@@ -10,8 +10,9 @@ canonical_code (codes as hex strings) works, so this module does not
 depend on the catalog layer.  The code must be a dessin's, as in a record
 that read_records returns or the record build makes: the dessin was
 validated where it entered, so the lift rules decode and walk it unchecked.
-totals only checks that a catalog is complete; the reports count its
-classes and the stored lifts, as a read proved them (stored_lifts).
+totals only checks that a catalog is complete, from the classes_over count
+of each re-enumerated tf class; the reports count its classes and the
+stored lifts, as a read proved them (stored_lifts).
 """
 
 from collections import namedtuple
@@ -19,7 +20,7 @@ from collections import namedtuple
 from .errors import DomainError, IncompleteCatalog, OutOfRange, ValidationError
 from .generate import enumerate_classes
 from .hypermap import _automorphism_group, cycles, from_code
-from .torsion import expand_classes, orbit_representatives
+from .torsion import classes_over, orbit_representatives
 
 STRATA = (6, 12, 18, 24)     # the tf indices 6k of the K3 strata, k = 1..4
 
@@ -82,7 +83,9 @@ def _tf_expansion_counts(n):
     """{tf code hex: number of classes over it} for torsion-free index n."""
     counts = {}
     for code, _ in enumerate_classes(n, genus=0, torsion_free=True):
-        counts[code.hex()] = len(expand_classes(from_code(code)))
+        h = from_code(code)
+        counts[code.hex()] = sum(1 for _ in classes_over(
+            h, _automorphism_group(h)))
     return counts
 
 

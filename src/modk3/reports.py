@@ -15,7 +15,7 @@ from . import lifts
 from .errors import IncompleteCatalog, ValidationError
 from .hypermap import _automorphism_group, cycles, group_label
 from .lifts import STRATA, _decode, stored_lifts, tf_index
-from .torsion import BLACK, KEEP, WHITE, loops, orbit_representatives
+from .torsion import classes_over
 
 
 def _partition(rec):
@@ -110,9 +110,8 @@ def report_k18(records):
 
 def report_k24(records):
     """Index-24 tf graphs by loop count and symmetry, each with its number
-    of Aut-orbits of Keep/White/Black assignments (no assignment deletes
-    every edge at index 24, so each orbit is a class); only the tf
-    index-24 records are walked, each to its automorphisms."""
+    of classes over it (classes_over); only the tf index-24 records are
+    walked, each to its automorphisms."""
     rows = {}
     for rec in records:
         if tf_index(rec) != 24 or rec.e2 or rec.e3:
@@ -120,9 +119,7 @@ def report_k24(records):
         h = _decode(rec)
         aut = _automorphism_group(h)
         label = "any" if rec.loop_count == 0 else group_label(aut)
-        blocks = [(e,) for e in loops(h)]
-        mult = sum(1 for _ in orbit_representatives(aut, blocks,
-                                                    (KEEP, WHITE, BLACK)))
+        mult = sum(1 for _ in classes_over(h, aut))
         key = (rec.loop_count, label)
         count, seen_mult = rows.get(key, (0, mult))
         if seen_mult != mult:

@@ -12,7 +12,7 @@ point; gluing gadgets back on removes them:
 The inverse direction (tf_retract) plants a 2-edge gadget at every sigma
 fixed point and a 3-edge gadget at every alpha fixed point.  Expanding a
 torsion-free class means choosing Keep/White/Black per loop up to the
-automorphism action on loops.
+automorphism action on loops, as classes_over lists them.
 """
 
 import itertools
@@ -29,7 +29,7 @@ def loops(h):
     """The loop edges e (phi(e) = e) of all width-1 faces, ascending.
 
     The j-th loop edge is the j-th letter of an assignment, for substitute
-    and for the orbit listing in expand_classes alike.
+    and for the listing in classes_over alike.
     """
     sigma, alpha = h
     out = []
@@ -52,7 +52,7 @@ def substitute(h_tf, assignment):
     sigma cycles), so simultaneous application equals any sequential
     order.  Each gadget hangs off the rest by one alpha pair, so the
     survivors stay connected: the one degenerate case deletes every edge,
-    and raises DegenerateSubstitution.
+    and raises DegenerateSubstitution; classes_over never asks for it.
     """
     edges = loops(h_tf)
     if len(assignment) != len(edges):
@@ -132,21 +132,20 @@ def orbit_representatives(elements, blocks, alphabet):
             yield a
 
 
-def expand_classes(h_tf):
-    """All torsion classes over one tf class: (assignment, dessin) pairs.
-
-    h_tf must be a torsion-free dessin, as an enumeration or a read gives;
-    it is not validated here.  One representative per Aut-orbit of
-    assignments (the tuple that compares least within its orbit), all-Keep
-    first; degenerate ones are dropped.  Aut acts freely on edges and a
-    loop is one edge, so no automorphism but the identity fixes a loop.
-    """
-    out = []
+def classes_over(h_tf, elements):
+    """Yield the assignment of each torsion class over the tf dessin h_tf:
+    orbit_representatives under elements = Aut(h_tf), all-Keep first, less
+    the one that deletes every edge.  White deletes 2 edges and Black 3,
+    from disjoint sets, so that is when 2 #White + 3 #Black = n."""
     blocks = [(e,) for e in loops(h_tf)]
-    for a in orbit_representatives(_automorphism_group(h_tf), blocks,
-                                   (KEEP, WHITE, BLACK)):
-        try:
-            out.append((a, substitute(h_tf, a)))
-        except DegenerateSubstitution:
-            pass
-    return out
+    for a in orbit_representatives(elements, blocks, (KEEP, WHITE, BLACK)):
+        if 2 * a.count(WHITE) + 3 * a.count(BLACK) != h_tf.n:
+            yield a
+
+
+def expand_classes(h_tf):
+    """All torsion classes over one tf class: (assignment, dessin) pairs
+    in classes_over's order.  h_tf must be a torsion-free dessin, as an
+    enumeration or a read gives; it is not validated here."""
+    return [(a, substitute(h_tf, a))
+            for a in classes_over(h_tf, _automorphism_group(h_tf))]

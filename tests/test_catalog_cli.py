@@ -1190,7 +1190,7 @@ def test_reports_need_the_tf_record_of_each_class(tmp_path):
 
 def test_k24_report_refuses_a_split_bucket(monkeypatch):
     mults = iter(range(1, 1000))
-    monkeypatch.setattr(reports, "orbit_representatives",
+    monkeypatch.setattr(reports, "classes_over",
                         lambda *args: range(next(mults)))
     try:
         reports.report_k24(tf_records(24))

@@ -286,6 +286,33 @@ def test_one_listing_of_orbit_representatives():
     assert found == {"torsion.orbit_representatives"}
 
 
+def test_one_listing_of_the_classes_over_a_tf_dessin():
+    # expansion, the completeness count and the k24 report take the
+    # classes over a tf class from one listing, which drops the degenerate
+    # assignment by its edge count; substitute still refuses it for a
+    # direct caller, and no package code catches that refusal by name
+    assert _users({"classes_over"}) == {"classes_over": {
+        "torsion.expand_classes", "lifts._tf_expansion_counts",
+        "reports.report_k24"}}
+    raised, caught = set(), set()
+    for path in sorted(Path(modk3.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    named, found = node.exc, raised
+                elif isinstance(node, ast.ExceptHandler) and node.type:
+                    named, found = node.type, caught
+                else:
+                    continue
+                if "DegenerateSubstitution" in {
+                        getattr(sub, "id", getattr(sub, "attr", None))
+                        for sub in ast.walk(named)}:
+                    found.add(where)
+    assert raised == {"torsion.substitute"}
+    assert caught == set()
+
+
 def test_cli_uses_only_public_catalog_names():
     # a private catalog helper in the CLI is how a second read path starts
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))

@@ -4,7 +4,7 @@ the double-cover referee against the stored pairs; stratum bookkeeping."""
 
 from collections import Counter, namedtuple
 
-from modk3 import lifts
+from modk3 import lifts, torsion
 from modk3.errors import (
     DomainError, IncompleteCatalog, OutOfRange, ValidationError,
 )
@@ -226,3 +226,13 @@ def test_totals_rejects_a_swapped_duplicate(full_catalog):
         assert False, "totals counted a record twice"
     except ValidationError as exc:
         assert "appears twice" in str(exc)
+
+
+def test_totals_substitutes_no_class(full_catalog, monkeypatch):
+    # totals counts the classes over each tf class from their listing and
+    # builds none of their dessins
+    def boom(*args):
+        raise AssertionError("totals substituted a class")
+
+    monkeypatch.setattr(torsion, "substitute", boom)
+    assert totals(full_catalog) is None

@@ -7,15 +7,17 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import modk3
+from modk3 import catalog, torsion
 from modk3.errors import DegenerateSubstitution, DomainError
 from modk3.hypermap import (
     _candidate_roots, _is_walk_code, _reach_order, _root_code,
     automorphism_group, canonical_code, cycles, subgroup_type, validate,
     Hypermap,
 )
+from modk3.lifts import STRATA
 from modk3.torsion import (
-    BLACK, KEEP, WHITE, expand_classes, loops, orbit_representatives,
-    substitute, tf_retract,
+    BLACK, KEEP, WHITE, classes_over, expand_classes, loops,
+    orbit_representatives, substitute, tf_retract,
 )
 
 from helpers import (
@@ -262,6 +264,70 @@ def test_expand_agrees_with_burnside():
             faces = cycles(h.phi())
             assert len(list(orbit_representatives(aut, faces, (0, 1)))) \
                 == burnside_count(block_action(aut, faces), 2)
+
+
+def _substitutable(h, aut):
+    """The orbit representatives over h that substitute accepts, in
+    orbit_representatives' order: the listing as expand_classes made it
+    when it caught DegenerateSubstitution."""
+    out = []
+    for a in orbit_representatives(aut, loop_blocks(h), (KEEP, WHITE, BLACK)):
+        try:
+            substitute(h, a)
+        except DegenerateSubstitution:
+            continue
+        out.append(a)
+    return out
+
+
+def test_classes_over_lists_what_substitute_accepts():
+    # the edge count decides degeneracy exactly as the substitution does,
+    # on every tf class of the strata, and expansion follows the listing
+    for n in STRATA:
+        for h in tf_classes(n):
+            aut = automorphism_group(h)
+            want = _substitutable(h, aut)
+            assert list(classes_over(h, aut)) == want
+            assert expand_classes(h) == [(a, substitute(h, a)) for a in want]
+
+
+def test_classes_over_drops_one_assignment_in_the_census(full_catalog):
+    # the listing gives every class of the catalog and drops one orbit
+    # representative in all: both loops of 4,1,1-A Black
+    ids = {rec.canonical_code: rec.id for rec in full_catalog}
+    listed, dropped = 0, []
+    for n in STRATA:
+        for h in tf_classes(n):
+            aut = automorphism_group(h)
+            kept = list(classes_over(h, aut))
+            listed += len(kept)
+            dropped += [(ids[canonical_code(h).hex()], a)
+                        for a in orbit_representatives(
+                            aut, loop_blocks(h), (KEEP, WHITE, BLACK))
+                        if a not in kept]
+    assert listed == len(full_catalog) == 3228
+    assert dropped == [("4,1,1-A", (BLACK, BLACK))]
+
+
+def test_the_census_expansion_asks_substitute_for_no_degenerate_case(
+        monkeypatch):
+    # every substitution that expand_records asks for keeps an edge, so
+    # none raises, and each makes one record
+    asked, raised = [], []
+
+    def watched(h, assignment, substitute=torsion.substitute):
+        asked.append(assignment)
+        try:
+            return substitute(h, assignment)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(torsion, "substitute", watched)
+    made = sum(len(catalog.expand_records(catalog.enumerate_records(
+        n, genus=0, torsion_free=True))) for n in STRATA)
+    assert raised == []
+    assert len(asked) == made
 
 
 def test_burnside_table_values():
